@@ -143,6 +143,11 @@ def _meta(b2: int, plus: int, minus: int, max_degree: int) -> dict:
     }
 
 
+def _check_max_degree(args) -> None:
+    if args.max_degree < 2:
+        raise InputError(f"--max-degree must be at least 2, got {args.max_degree}")
+
+
 def _tail_note(table: RankTable) -> str:
     if table.finite_tail:
         return "all unlisted degrees have rank 0"
@@ -169,6 +174,7 @@ def cmd_ranks(args) -> int:
     formula = closed_form_ranks(b2)
     engine_table = None
     if args.engine:
+        _check_max_degree(args)
         _, engine_table, _ = build(
             algebra_from_split(plus, minus), args.max_degree, guard=args.guard
         )
@@ -245,6 +251,7 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> di
 
 def cmd_model(args) -> int:
     label, b2, plus, minus = _resolve_source(args)
+    _check_max_degree(args)
     stage, table, _ = build(
         algebra_from_split(plus, minus), args.max_degree, guard=args.guard
     )
@@ -386,6 +393,7 @@ def _verify_one(b2: int, split: tuple[int, int], max_degree: int, guard: int, in
 
 
 def cmd_verify(args) -> int:
+    _check_max_degree(args)
     if args.b2 is not None:
         if args.b2 < 0:
             raise InputError("--b2 must be nonnegative")

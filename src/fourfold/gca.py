@@ -156,25 +156,27 @@ def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
     sufmin = gens._suffix_min
     out: list[Mono] = []
     exps = [0] * n
-
-    def walk(i: int, remaining: int) -> None:
+    # Depth-first over exponent choices, highest exponent first.  An entry
+    # (i, remaining, e) sets the exponent of generator i - 1 to e; entries
+    # above it on the stack only touch later generators, so exps[:i] is
+    # always the prefix that leads to it.
+    stack = [(0, degree, 0)]
+    while stack:
+        i, remaining, e = stack.pop()
+        if i:
+            exps[i - 1] = e
         if remaining == 0:
-            out.append(_trim(exps))
+            out.append(_trim(exps[:i]))
             if len(out) > guard:
                 raise BasisTooLarge(degree, guard)
-            return
+            continue
         if i == n or remaining < sufmin[i]:
-            return
+            continue
         d = degs[i]
         top = remaining // d
         if odd[i] and top > 1:
             top = 1
-        for e in range(top, -1, -1):
-            exps[i] = e
-            walk(i + 1, remaining - e * d)
-        exps[i] = 0
-
-    walk(0, degree)
+        stack.extend((i + 1, remaining - e * d, e) for e in range(top + 1))
     return out
 
 
@@ -481,13 +483,7 @@ def decomposable_subspace(
                 sm = mono_mul(gens, m1, m2)
                 if sm is not None:
                     hit.add(index[sm[1]])
-    ambient = len(blist)
-    vectors = []
-    for i in sorted(hit):
-        v = [_ZERO] * ambient
-        v[i] = _ONE
-        vectors.append(v)
-    return Subspace.from_vectors(ambient, vectors)
+    return Subspace.from_vectors(len(blist), [{i: _ONE} for i in sorted(hit)])
 
 
 def mono_sort_key(gens: GeneratorSet, mono: Mono):

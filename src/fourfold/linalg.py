@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals.
 
 All entries are `fractions.Fraction` values; nothing in this module ever
-touches floating point.  Elimination pivots on the first nonzero entry in
-column order, so every result is deterministic and reproducible bit for bit.
-Degenerate shapes (0 x n and n x 0) are legal everywhere.
+touches floating point.  Degenerate shapes (0 x n and n x 0) are legal
+everywhere.
 
-Matrices are dense.  The row-reduction inner loop only walks the nonzero
-positions of the pivot row, which makes it cheap on the very sparse systems
-produced elsewhere in this package while keeping a single code path.
+Rows are sparse: dicts from column index to nonzero value.  One routine,
+`_eliminate`, reduces rows against echelon rows keyed by pivot column,
+lowest pivot first, then back-substitutes; rank, kernels, complements and
+membership all go through it.  Reduced echelon bases are unique, so results
+depend only on the column order, never on the row order.  Dense tuples
+appear only at the public boundary (`QMatrix`, `rref`, `kernel_basis`,
+`Subspace.basis`); functions taking rows accept sparse or dense ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -89,9 +93,6 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def to_lists(self) -> list[list[Fraction]]:
         return [list(r) for r in self.entries]
 
@@ -147,57 +148,87 @@ class QMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-def _rref_in_place(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination; returns the pivot columns.
+def _sparse(vector, ncols: int) -> dict:
+    """A fresh sparse copy of a row given as a dict or a dense sequence."""
+    if isinstance(vector, dict):
+        if vector and max(vector) >= ncols:
+            raise ValueError("row has a column beyond the ambient dimension")
+        return dict(vector)
+    if len(vector) != ncols:
+        raise ValueError("row length mismatch")
+    return {j: x for j, x in enumerate(_fraction_row(vector)) if x}
 
-    Pivot choice is the first row with a nonzero entry in the leftmost
-    unprocessed column.  After return, rows[:rank] are the pivot rows and
-    all later rows are zero.
+
+def _dense(row: dict, ncols: int) -> tuple[Fraction, ...]:
+    return tuple(row.get(j, _ZERO) for j in range(ncols))
+
+
+def _reduce(v: dict, held: dict) -> dict:
+    """Clear, in place, the columns of `v` that are pivots of `held`.
+
+    `held` maps each pivot to a row whose smallest column it is, with entry
+    1 there; so a subtraction only creates entries right of its pivot.
     """
-    pivots: list[int] = []
-    nrows = len(rows)
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
+    heap = [c for c in v if c in held]
+    if not heap:
+        return v
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        f = v.pop(p, None)
+        if f is None:  # pushed twice, or cancelled on the way
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] /= pv
-        nz = [j for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            if i == r:
+        f = -f
+        for j, x in held[p].items():
+            if j == p:
                 continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                for j in nz:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            old = v.get(j)
+            if old is None:
+                v[j] = f * x
+                if j in held:
+                    heappush(heap, j)
+            else:
+                new = old + f * x
+                if new:
+                    v[j] = new
+                else:
+                    del v[j]
+    return v
 
 
-def row_reduce(
-    rows: Iterable[Sequence[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a row list; returns (rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    for r in work:
-        if len(r) != ncols:
-            raise ValueError("row length mismatch")
-    pivots = _rref_in_place(work, ncols)
-    return work, pivots
+def _eliminate(rows: Iterable[dict]) -> dict:
+    """Reduced echelon basis of the span of `rows`, keyed by ascending pivot.
+
+    Consumes `rows`, fresh sparse dicts: each is reduced against the pivot
+    rows kept so far and its nonzero remainder kept as a new pivot row; the
+    kept rows are then back-substituted, highest pivot first.
+    """
+    held: dict = {}
+    for v in rows:
+        _reduce(v, held)
+        if v:
+            lead = min(v)
+            pivot = v[lead]
+            if pivot != 1:
+                scale = _ONE / pivot
+                for j, x in v.items():
+                    v[j] = x * scale
+            held[lead] = v
+    pivots = sorted(held)
+    done: dict = {}
+    for p in reversed(pivots):
+        done[p] = _reduce(held[p], done)
+    return {p: done[p] for p in pivots}
+
+
+def row_reduce(rows: Sequence, ncols: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of a row list.
+
+    Returns (pivot rows, pivot columns), both in ascending pivot order; the
+    pivot rows are sparse and the zero rows of the echelon form are left out.
+    """
+    echelon = _eliminate([_sparse(r, ncols) for r in rows])
+    return list(echelon.values()), list(echelon)
 
 
 def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
@@ -205,102 +236,97 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
 
     Returns (R, pivot columns, rank); R is the unique RREF of the input.
     """
-    work, pivots = row_reduce(matrix.entries, matrix.cols)
-    reduced = QMatrix(matrix.rows, matrix.cols, tuple(tuple(r) for r in work))
-    return reduced, tuple(pivots), len(pivots)
+    reduced, pivots = row_reduce(matrix.entries, matrix.cols)
+    entries = [_dense(r, matrix.cols) for r in reduced]
+    entries += [(_ZERO,) * matrix.cols] * (matrix.rows - len(entries))
+    reduced_matrix = QMatrix(matrix.rows, matrix.cols, tuple(entries))
+    return reduced_matrix, tuple(pivots), len(pivots)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n stored by its unique reduced-echelon basis.
+    """Subspace of Q^n stored by its unique reduced echelon basis.
 
-    Basis rows have strictly increasing pivot columns, pivot entries 1 and
-    zeros above each pivot, so equal subspaces compare equal structurally.
+    `rows` maps each pivot column, in ascending order, to a sparse basis row
+    with entry 1 there and zeros in the other pivot columns, so equal
+    subspaces compare equal.
     """
 
-    ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("ambient_dim", "rows")
 
-    def __post_init__(self) -> None:
-        last = -1
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
-                raise ValueError("basis vector has wrong length")
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None or lead <= last:
-                raise ValueError("basis is not in echelon form")
-            last = lead
+    def __init__(self, ambient_dim: int, basis: Sequence = ()):
+        """The span of an echelon basis: strictly increasing leading columns."""
+        rows = [_sparse(v, ambient_dim) for v in basis]
+        leads = [min(r, default=-1) for r in rows]
+        if any(b <= a for a, b in zip([-1] + leads, leads)):
+            raise ValueError("basis is not in echelon form")
+        self.ambient_dim = ambient_dim
+        self.rows = _eliminate(rows)
 
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        work = [list(_fraction_row(v)) for v in vectors]
-        for v in work:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length mismatch")
-        _rref_in_place(work, ambient_dim)
-        rows = tuple(tuple(r) for r in work if any(r))
-        return Subspace(ambient_dim, rows)
+    def _echelon(ambient_dim: int, rows: dict) -> "Subspace":
+        out = Subspace.__new__(Subspace)
+        out.ambient_dim = ambient_dim
+        out.rows = rows
+        return out
+
+    @staticmethod
+    def from_vectors(ambient_dim: int, vectors: Sequence) -> "Subspace":
+        rows = _eliminate([_sparse(v, ambient_dim) for v in vectors])
+        return Subspace._echelon(ambient_dim, rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace._echelon(ambient_dim, {})
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, QMatrix.identity(ambient_dim).entries)
+        return Subspace._echelon(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basis rows as dense tuples."""
+        return tuple(_dense(r, self.ambient_dim) for r in self.rows.values())
 
-    def reduce(self, vector: Sequence) -> list[Fraction]:
-        """Remainder of a vector after elimination against the basis."""
-        v = list(_fraction_row(vector))
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        for row, p in zip(self.basis, self.pivot_columns()):
-            f = v[p]
-            if f:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v
+    def contains(self, vector) -> bool:
+        return not _reduce(_sparse(vector, self.ambient_dim), self.rows)
 
-    def contains(self, vector: Sequence) -> bool:
-        return not any(self.reduce(vector))
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.rows == other.rows
+        )
+
+    def __repr__(self) -> str:
+        return f"Subspace({self.ambient_dim}, {self.basis})"
 
 
-def kernel_basis_from_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> Subspace:
-    """Kernel of the linear map whose constraint rows are given.
-
-    Identically-zero rows impose no constraints and are dropped before
-    elimination, which the unique answer does not depend on.
-    """
-    work = [list(r) for r in rows if any(r)]
-    pivots = _rref_in_place(work, ncols)
-    return kernel_from_reduced(work, pivots, ncols)
+def kernel_basis_from_rows(rows: Sequence, ncols: int) -> Subspace:
+    """Kernel of the linear map whose constraint rows are given."""
+    reduced, pivots = row_reduce(rows, ncols)
+    return kernel_from_reduced(reduced, pivots, ncols)
 
 
 def kernel_from_reduced(
-    reduced: list[list[Fraction]], pivots: Sequence[int], ncols: int
+    reduced: Sequence[dict], pivots: Sequence[int], ncols: int
 ) -> Subspace:
-    """Kernel basis read off an already row-reduced system."""
-    pivset = set(pivots)
-    vectors = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            coef = reduced[r][f]
-            if coef:
-                v[p] = -coef
-        vectors.append(v)
-    return Subspace.from_vectors(ncols, vectors)
+    """Kernel read off a system in reduced row echelon form.
+
+    Each free column f gives the vector e_f - sum_p R[p][f] e_p; those span
+    the kernel and are put into reduced echelon form.
+    """
+    vectors = {f: {f: _ONE} for f in range(ncols)}
+    for p in pivots:
+        del vectors[p]
+    for p, row in zip(pivots, reduced):
+        for f, x in row.items():
+            if f != p:
+                vectors[f][p] = -x
+    return Subspace.from_vectors(ncols, list(vectors.values()))
 
 
 def kernel_basis(matrix: QMatrix) -> Subspace:
@@ -312,42 +338,18 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
     """Deterministic complement of `sub` inside `within`.
 
     Raises NotContained unless every basis vector of `sub` lies in `within`.
-    The result together with `sub` spans `within` and meets `sub` only in 0.
+    The result is the part of `within` that vanishes on the pivot columns of
+    `sub`: together with `sub` it spans `within` and meets `sub` only in 0.
+    The pivots of `sub` are pivots of `within`, whose other reduced rows
+    vanish there, so those rows are already its reduced echelon basis.
     """
     if sub.ambient_dim != within.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    for v in sub.basis:
-        if not within.contains(v):
+    for row in sub.rows.values():
+        if _reduce(dict(row), within.rows):
             raise NotContained("subspace is not contained in the ambient one")
-    # Echelon rows keyed by pivot column; start from `sub` and sweep the
-    # basis of `within`, keeping each reduced remainder that survives.
-    held: list[tuple[int, list[Fraction]]] = [
-        (p, list(row)) for p, row in zip(sub.pivot_columns(), sub.basis)
-    ]
-    held.sort()
-    kept: list[list[Fraction]] = []
-    for w in within.basis:
-        v = list(w)
-        for p, row in held:
-            f = v[p]
-            if f:
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        if v[lead] != 1:
-            lv = v[lead]
-            for j in range(lead, len(v)):
-                if v[j]:
-                    v[j] /= lv
-        held.append((lead, v))
-        held.sort(key=lambda t: t[0])
-        kept.append(v)
-    out = Subspace.from_vectors(sub.ambient_dim, kept)
-    assert out.dim == within.dim - sub.dim
-    return out
+    kept = {p: row for p, row in within.rows.items() if p not in sub.rows}
+    return Subspace._echelon(sub.ambient_dim, kept)
 
 
 def congruence_diagonalize(matrix: QMatrix) -> tuple[QMatrix, tuple[Fraction, ...]]:

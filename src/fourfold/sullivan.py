@@ -111,16 +111,14 @@ class QuasiMorphism:
 class _DiffData:
     """Differential of one degree: domain basis, kernel and image data.
 
-    `kernel` holds cocycle polynomials matching the reduced-echelon rows of
-    `kernel_sub`; `image` holds the differentials of the pivot columns, an
-    independent basis of the coboundaries one degree up.
+    `kernel` is the cocycle subspace in coordinates over `blist`; `image`
+    holds the differentials of the pivot columns, an independent basis of
+    the coboundaries one degree up.
     """
 
     blist: tuple
-    kernel: tuple
-    kernel_sub: Subspace
+    kernel: Subspace
     image: tuple
-    rank: int
 
 
 @dataclass
@@ -170,18 +168,29 @@ class MinimalModelStage:
         return RankTable({r: counts.get(r, 0) for r in range(2, self.k + 1)}, False)
 
 
-def _poly_vector(poly: Poly, index: dict, ncols: int) -> list:
-    v = [_ZERO] * ncols
-    for mono, coeff in poly.terms.items():
-        v[index[mono]] = coeff
-    return v
+def _coboundaries(image: Sequence[Poly], blist) -> Subspace:
+    """Span of the image polynomials, in coordinates over `blist`."""
+    index = {m: i for i, m in enumerate(blist)}
+    return Subspace.from_vectors(
+        len(blist), [{index[m]: c for m, c in p.terms.items()} for p in image]
+    )
 
 
-def _vector_poly(gens: GeneratorSet, vec, blist) -> Poly:
-    terms = {m: c for m, c in zip(blist, vec) if c}
-    if not terms:
-        return Poly.zero()
-    return Poly(terms, gens.monomial_degree(next(iter(terms))))
+def _vector_poly(row: dict, blist, degree: int) -> Poly:
+    return Poly({blist[j]: c for j, c in row.items()}, degree)
+
+
+def _combine(combo: dict, rows: Sequence[dict]) -> dict:
+    """The sparse row sum of combo[i] * rows[i]."""
+    acc: dict = {}
+    for i, coeff in combo.items():
+        for j, x in rows[i].items():
+            s = acc.get(j, _ZERO) + coeff * x
+            if s:
+                acc[j] = s
+            else:
+                del acc[j]
+    return acc
 
 
 def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
@@ -197,18 +206,12 @@ def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
     rowmap: dict = {}
     for j, p in enumerate(col_polys):
         for mono, c in p.terms.items():
-            i = index[mono]
-            row = rowmap.get(i)
-            if row is None:
-                row = [_ZERO] * ncols
-                rowmap[i] = row
-            row[j] = c
+            rowmap.setdefault(index[mono], {})[j] = c
     rows = [rowmap[i] for i in sorted(rowmap)]
     reduced, pivots = row_reduce(rows, ncols)
-    kernel_sub = kernel_from_reduced(reduced, pivots, ncols)
-    kernel = tuple(_vector_poly(gens, v, blist) for v in kernel_sub.basis)
+    kernel = kernel_from_reduced(reduced, pivots, ncols)
     image = tuple(col_polys[j] for j in pivots)
-    data = _DiffData(tuple(blist), kernel, kernel_sub, image, len(pivots))
+    data = _DiffData(tuple(blist), kernel, image)
     stage._data[n] = data
     return data
 
@@ -244,7 +247,8 @@ def extend_stage(
     target_dim = algebra.dim(k + 1)
     if target_dim:
         image_vectors = [
-            stage.qm.on_poly(algebra, z, k + 1).coords for z in low.kernel
+            stage.qm.on_poly(algebra, _vector_poly(z, low.blist, k + 1), k + 1).coords
+            for z in low.kernel.rows.values()
         ]
         reached = Subspace.from_vectors(target_dim, image_vectors)
         y_vectors = complement_in(reached, Subspace.full(target_dim)).basis
@@ -253,34 +257,27 @@ def extend_stage(
 
     # Exact generators: a complement of the coboundaries inside the
     # degree-(k+2) cocycles that the stage map sends to zero.
-    ambient = len(high.blist)
-    index = {m: i for i, m in enumerate(high.blist)}
-    boundary_sub = Subspace.from_vectors(
-        ambient, [_poly_vector(p, index, ambient) for p in low.image]
-    )
+    boundary_sub = _coboundaries(low.image, high.blist)
     if algebra.dim(k + 2):
-        zvecs = high.kernel_sub.basis
+        zvecs = list(high.kernel.rows.values())
+        images = [
+            stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2).coords
+            for z in zvecs
+        ]
         constraint_rows = [
-            [stage.qm.on_poly(algebra, z, k + 2).coords[r] for z in high.kernel]
+            {i: img[r] for i, img in enumerate(images) if img[r]}
             for r in range(algebra.dim(k + 2))
         ]
-        reduced, pivots = row_reduce(constraint_rows, len(high.kernel))
-        combos = kernel_from_reduced(reduced, pivots, len(high.kernel))
-        vanishing_vectors = []
-        for combo in combos.basis:
-            acc = [_ZERO] * ambient
-            for coeff, zv in zip(combo, zvecs):
-                if coeff:
-                    for t, x in enumerate(zv):
-                        if x:
-                            acc[t] += coeff * x
-            vanishing_vectors.append(acc)
-        vanishing = Subspace.from_vectors(ambient, vanishing_vectors)
+        reduced, pivots = row_reduce(constraint_rows, len(zvecs))
+        combos = kernel_from_reduced(reduced, pivots, len(zvecs))
+        vanishing = Subspace.from_vectors(
+            len(high.blist), [_combine(c, zvecs) for c in combos.rows.values()]
+        )
     else:
-        vanishing = high.kernel_sub
+        vanishing = high.kernel
     z_polys = [
-        _vector_poly(stage.gens, v, high.blist)
-        for v in complement_in(boundary_sub, vanishing).basis
+        _vector_poly(v, high.blist, k + 2)
+        for v in complement_in(boundary_sub, vanishing).rows.values()
     ]
     if reverse_kernel_basis:
         z_polys.reverse()
@@ -326,16 +323,12 @@ def stage_cohomology(
         return 1, [Poly.monomial(stage.gens, ())], Subspace.zero(1)
     here = _diff_data(stage, n, guard)
     below = _diff_data(stage, n - 1, guard)
-    ambient = len(here.blist)
-    index = {m: i for i, m in enumerate(here.blist)}
-    boundary_sub = Subspace.from_vectors(
-        ambient, [_poly_vector(p, index, ambient) for p in below.image]
-    )
+    boundary_sub = _coboundaries(below.image, here.blist)
     reps = [
-        _vector_poly(stage.gens, v, here.blist)
-        for v in complement_in(boundary_sub, here.kernel_sub).basis
+        _vector_poly(v, here.blist, n)
+        for v in complement_in(boundary_sub, here.kernel).rows.values()
     ]
-    return len(here.kernel) - below.rank, reps, boundary_sub
+    return here.kernel.dim - len(below.image), reps, boundary_sub
 
 
 def build(
@@ -453,7 +446,7 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
             iso_failures.append(f"H^{i}: stage {dim} vs target {target}")
             continue
         if target:
-            rows = [list(stage.qm.on_poly(algebra, rep, i).coords) for rep in reps]
+            rows = [stage.qm.on_poly(algebra, rep, i).coords for rep in reps]
             _, pivots = row_reduce(rows, target)
             if len(pivots) != target:
                 iso_failures.append(f"H^{i}: induced map has rank {len(pivots)}")

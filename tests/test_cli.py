@@ -217,6 +217,23 @@ def test_examples_bad_parameters(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "--b2", "3", "--engine", "--max-degree", "1"),
+        ("model", "--b2", "3", "--max-degree", "1"),
+        ("examples", "connected-sum", "2,1", "--engine", "--max-degree", "0"),
+        ("verify", "--b2", "3", "--max-degree", "-1"),
+    ],
+    ids=["ranks", "model", "examples", "verify"],
+)
+def test_max_degree_below_two_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "--max-degree" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------- verify
 
 

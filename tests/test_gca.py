@@ -71,6 +71,18 @@ def test_basis_two_degree_two_generators():
     assert got == [(2,), (1, 1), (0, 2)]  # x1^2, x1*x2, x2^2 in graded-lex order
 
 
+def test_basis_of_many_generators_needs_no_recursion():
+    # 1500 generators is past the interpreter's default recursion limit, so
+    # an enumeration that recursed once per generator would fail here.
+    gens = GeneratorSet([(f"x{i}", 2) for i in range(1500)])
+    monos = basis(gens, 2)
+    assert len(monos) == 1500
+    assert monos[0] == (1,) and monos[-1] == (0,) * 1499 + (1,)
+    with pytest.raises(BasisTooLarge) as info:
+        basis(gens, 4, guard=1000)
+    assert (info.value.degree, info.value.limit) == (4, 1000)
+
+
 def test_basis_mixed_degree_five_counts():
     gens = stage3_b2_3()
     monos = basis(gens, 5)

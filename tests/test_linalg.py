@@ -279,3 +279,124 @@ def test_determinant_multiplicative():
         a = random_matrix(rng, n, n)
         b = random_matrix(rng, n, n)
         assert determinant(a.mul(b)) == determinant(a) * determinant(b)
+
+
+# ------------------------------------------- sparse kernel vs dense reference
+
+
+def ref_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan elimination: (nonzero RREF rows, pivots)."""
+    a = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return [tuple(row) for row in a[: len(pivots)]], pivots
+
+
+def ref_kernel(rows, ncols):
+    reduced, pivots = ref_rref(rows, ncols)
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    return ref_rref(vectors, ncols)[0]
+
+
+def ref_complement(sub_rows, within_rows, ncols):
+    """Reduce each basis vector of `within` to zero on the pivot columns of
+    everything held so far, keep the nonzero remainders, then reduce those."""
+    held, kept = list(sub_rows), []
+    for w in within_rows:
+        basis_rows, pivots = ref_rref(held, ncols)
+        v = list(w)
+        for row, p in zip(basis_rows, pivots):
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, row)]
+        if any(v):
+            held.append(v)
+            kept.append(v)
+    return ref_rref(kept, ncols)[0]
+
+
+def random_sparse_rows(rng, nrows, ncols, density=0.25):
+    rows = [
+        [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else F(0)
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))  # a duplicate row
+    if rng.random() < 0.2:
+        rows.append([F(0)] * ncols)  # an all-zero row
+    rng.shuffle(rows)
+    return rows
+
+
+SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (5, 9), (9, 5), (12, 12)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_sparse_kernel_matches_dense_reference(shape):
+    rng = random.Random(f"sparse-{shape}")
+    nrows, ncols = shape
+    for _ in range(25):
+        rows = random_sparse_rows(rng, nrows, ncols)
+        m = mat(rows, cols=ncols)
+        reduced, pivots = ref_rref(rows, ncols)
+        r, got_pivots, rank = rref(m)
+        assert got_pivots == tuple(pivots) and rank == len(pivots)
+        assert r.entries == tuple(reduced) + ((F(0),) * ncols,) * (m.rows - rank)
+        assert kernel_basis(m).basis == tuple(ref_kernel(rows, ncols))
+        within = Subspace.from_vectors(ncols, rows)
+        assert within.basis == tuple(reduced)
+        combos = [
+            [rng.randint(-2, 2) for _ in within.basis]
+            for _ in range(rng.randint(0, within.dim))
+        ]
+        sub = Subspace.from_vectors(ncols, [
+            [sum((c * row[j] for c, row in zip(combo, within.basis)), F(0)) for j in range(ncols)]
+            for combo in combos
+        ])
+        comp = complement_in(sub, within)
+        assert comp.basis == tuple(ref_complement(sub.basis, within.basis, ncols))
+        assert complement_in(Subspace.zero(ncols), within) == within
+        assert complement_in(within, within).dim == 0
+
+
+def test_reduced_echelon_form_ignores_row_order():
+    rng = random.Random(5)
+    for _ in range(40):
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+        rows = random_sparse_rows(rng, nrows, ncols, density=0.4)
+        expected = rref(mat(rows, cols=ncols))
+        for _ in range(4):
+            rng.shuffle(rows)
+            assert rref(mat(rows, cols=ncols)) == expected
+            assert Subspace.from_vectors(ncols, rows).basis == tuple(
+                expected[0].entries[: expected[2]]
+            )
+
+
+def test_sparse_and_dense_rows_agree():
+    rows = [[F(0), F(2), F(0), F(4)], [F(1), F(0), F(0), F(1)]]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert Subspace.from_vectors(4, sparse) == Subspace.from_vectors(4, rows)
+    assert Subspace.full(4).contains({3: F(5)})
+    assert not Subspace.from_vectors(4, rows).contains([F(0), F(0), F(7), F(0)])
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [{3: F(1)}])
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [[F(1), F(0)]])
