@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import NotSymmetric, QMatrix, congruence_diagonalize, determinant
+from .linalg import NotSymmetric, QMatrix, congruence_diagonalize
 
 __all__ = [
     "NotUnimodular",
@@ -28,6 +28,7 @@ __all__ = [
     "cohomology_algebra",
     "algebra_from_split",
     "closed_form_ranks",
+    "loop_space_ranks",
     "hypersurface_b2",
     "complete_intersection_b2",
     "rationally_equivalent",
@@ -92,11 +93,12 @@ def make_form(matrix: Sequence[Sequence[int]]) -> IntersectionForm:
                 raise NotSymmetric("intersection form must be symmetric")
     if n == 0:
         return IntersectionForm(data, 0, 0, 0)
-    qm = QMatrix.from_rows(data)
-    det = determinant(qm)
+    _, diag = congruence_diagonalize(QMatrix.from_rows(data))
+    # P^T S P = diag(d) with P made of swaps, folds and shears, so
+    # det P = +-1 and det S is the product of the diagonal.
+    det = math.prod(diag)
     if det != 1 and det != -1:
         raise NotUnimodular(f"determinant is {det}, expected +1 or -1")
-    _, diag = congruence_diagonalize(qm)
     plus = sum(1 for x in diag if x > 0)
     minus = sum(1 for x in diag if x < 0)
     assert plus + minus == n  # unimodular, so no zero can appear
@@ -204,15 +206,6 @@ class CohomologyAlgebra:
     def total_dim(self) -> int:
         return self.b2 + 2
 
-    def basis_names(self, degree: int) -> tuple[str, ...]:
-        if degree == 0:
-            return ("1",)
-        if degree == 2:
-            return tuple(f"x{i + 1}" for i in range(self.b2))
-        if degree == 4:
-            return ("V",)
-        return ()
-
     def sign(self, i: int) -> int:
         return 1 if i < self.b2_plus else -1
 
@@ -319,6 +312,45 @@ def closed_form_ranks(b2: int, max_degree: int = 7) -> RankTable:
         tail = False
     entries = {r: v for r, v in entries.items() if r <= max_degree}
     return RankTable(entries, tail)
+
+
+def loop_space_ranks(b2: int, max_degree: int) -> dict[int, int]:
+    """rk pi_r for every 2 <= r <= max_degree, from the loop-space homology.
+
+    For b2 >= 2 the top cell is attached by an inert map (Halperin-Lemaire,
+    Math. Scand. 1987), so H_*(Omega M; Q) has Poincare series
+    1 / (1 - b2 t + t^2).  By Milnor-Moore and Poincare-Birkhoff-Witt
+    (Felix-Halperin-Thomas, Rational Homotopy Theory, section 33) the same
+    series is prod_{i odd} (1 + t^i)^r_{i+1} / prod_{i even} (1 - t^i)^r_{i+1}
+    with r_k = rk pi_k.  The factor for i begins 1 + r_{i+1} t^i, so r_{i+1}
+    is the series coefficient of t^i less that of the factors below i.  For
+    b2 <= 1 the manifold is rationally S^4 or CP^2 and the elliptic tables
+    apply.  Integer arithmetic throughout.
+    """
+    if b2 <= 1:
+        table = closed_form_ranks(b2, max_degree)
+        return {r: table.rank(r) for r in range(2, max_degree + 1)}
+    top = max_degree - 1
+    series = [1, b2]
+    while len(series) <= top:
+        series.append(b2 * series[-1] - series[-2])
+    product = [1] + [0] * top  # factors below i, truncated after t^top
+    ranks = {}
+    for i in range(1, top + 1):
+        rank = series[i] - product[i]
+        ranks[i + 1] = rank
+        if not rank:
+            continue
+        # times (1 + t^i)^rank for odd i, (1 - t^i)^-rank for even i
+        factor = [
+            math.comb(rank, k) if i % 2 else math.comb(rank + k - 1, k)
+            for k in range(top // i + 1)
+        ]
+        product = [
+            sum(factor[k] * product[m - k * i] for k in range(m // i + 1))
+            for m in range(top + 1)
+        ]
+    return ranks
 
 
 def hypersurface_b2(d: int) -> int:

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +278,25 @@ def test_output_is_deterministic_across_runs(capsys):
     third = run(capsys, "ranks", "--b2", "6", "--engine")
     fourth = run(capsys, "ranks", "--b2", "6", "--engine")
     assert third == fourth
+
+
+# ------------------------------------------------------------------- README
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(.*?)```", readme.split("## Command line", 1)[1], re.S)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.group(1).splitlines()
+        if line.startswith("fourfold ")
+    ]
+    assert len(commands) >= 11
+    snippet = next(
+        text for text in re.findall(r"```json\n(.*?)```", readme, re.S) if '"matrix"' in text
+    )
+    (tmp_path / "form.json").write_text(snippet, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -19,6 +19,7 @@ from fourfold.forms import (
     hyperbolic_form,
     hypersurface_b2,
     k3_form,
+    loop_space_ranks,
     make_form,
     rationally_equivalent,
 )
@@ -210,6 +211,22 @@ def test_closed_form_ranks_hurewicz():
 def test_closed_form_ranks_max_degree_cutoff():
     assert closed_form_ranks(3, max_degree=4).ranks == {2: 3, 3: 5, 4: 5}
     assert closed_form_ranks(0, max_degree=5).ranks == {4: 1}
+
+
+def test_loop_space_ranks_agree_with_closed_forms_where_listed():
+    for b2 in range(0, 31):
+        table = closed_form_ranks(b2)
+        ranks = loop_space_ranks(b2, 7)
+        assert set(ranks) == set(range(2, 8))
+        listed = range(2, 8) if table.finite_tail else table.ranks
+        for r in listed:
+            assert ranks[r] == table.rank(r), (b2, r)
+
+
+def test_loop_space_ranks_beyond_the_closed_forms():
+    assert loop_space_ranks(22, 6) == {2: 22, 3: 252, 4: 3520, 5: 57960, 6: 1020096}
+    assert loop_space_ranks(3, 6) == {2: 3, 3: 5, 4: 5, 5: 10, 6: 24}
+    assert loop_space_ranks(4, 6)[6] == 144
 
 
 # ------------------------------------------------------------------ examples

@@ -245,7 +245,7 @@ def test_leibniz_rule_direct_and_via_matrices():
 def test_d_squared_passes_on_honest_differential():
     gens = stage3_b2_3()
     d = stage3_differential(gens)
-    report = check_d_squared(gens, d, through_degree=6)
+    report = check_d_squared(gens, d)
     assert report.ok
 
 

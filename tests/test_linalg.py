@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -279,6 +280,20 @@ def test_determinant_multiplicative():
         a = random_matrix(rng, n, n)
         b = random_matrix(rng, n, n)
         assert determinant(a.mul(b)) == determinant(a) * determinant(b)
+
+
+def test_congruence_diagonal_product_is_determinant():
+    # make_form reads the determinant off the congruence diagonal.
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        s = mat(rows, cols=n)
+        _, d = congruence_diagonalize(s)
+        assert math.prod(d) == determinant(s)
 
 
 # ------------------------------------------- sparse kernel vs dense reference

@@ -16,6 +16,7 @@ from fourfold.linalg import QMatrix, Subspace, kernel_basis
 from fourfold.sullivan import (
     MinimalModelStage,
     NotSimplyConnected,
+    QuasiMorphism,
     build,
     extend_stage,
     init_stage,
@@ -264,17 +265,6 @@ def test_build_tables_do_not_depend_on_signature_split(b2):
     assert all(t.ranks == tables[0].ranks for t in tables)
 
 
-def test_build_reverse_kernel_hook_changes_model_not_table():
-    a = algebra_from_split(3, 0)
-    stage1, table1, _ = build(a, max_degree=4)
-    stage2, table2, _ = build(a, max_degree=4, reverse_kernel_basis=True)
-    assert table1.ranks == table2.ranks
-    names = [g.name for g in stage1.gens if g.degree == 3]
-    assert any(
-        stage1.diff.image_of(n) != stage2.diff.image_of(n) for n in names
-    )
-
-
 def test_build_guard_failure_carries_partial_table():
     with pytest.raises(BasisTooLarge) as info:
         build(algebra_from_split(4, 0), max_degree=5, guard=50)
@@ -346,6 +336,43 @@ def test_verify_detects_chain_map_violation():
     report = verify_stage(broken)
     failed = {c.name for c in report.failures()}
     assert "chain_map" in failed
+
+
+# (b2, split, degrees with generators up to the top degree of the cell)
+DROP_CELLS = [
+    (3, (1, 2), (2, 3, 4, 5, 6, 7)),
+    (4, (4, 0), (2, 3, 4, 5, 6)),
+    (0, (0, 0), (4, 7)),
+    (1, (1, 0), (2, 5)),
+    (2, (1, 1), (2, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "b2,split,r",
+    [
+        pytest.param(b2, split, r, id=f"b2={b2}-split={split[0]},{split[1]}-r={r}")
+        for b2, split, degrees in DROP_CELLS
+        for r in degrees
+    ],
+)
+def test_verify_detects_dropped_generator(b2, split, r):
+    # Generators are adjoined degree by degree, so the last generator of a
+    # stage built through degree r has degree r; nothing below refers to it.
+    stage, _, _ = build(algebra_from_split(*split), max_degree=r)
+    assert verify_stage(stage).ok
+    assert stage.gens[-1].degree == r
+    gens = GeneratorSet(stage.gens.generators[:-1])
+    broken = MinimalModelStage(
+        stage.algebra,
+        gens,
+        Derivation(gens, stage.diff.images[:-1]),
+        QuasiMorphism(stage.qm.images[:-1]),
+        r,
+    )
+    report = verify_stage(broken)
+    failed = {c.name for c in report.failures()}
+    assert "generator_counts" in failed
 
 
 def test_no_new_closed_generators_above_the_first_step():
