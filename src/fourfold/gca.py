@@ -8,7 +8,13 @@ two sorted generator words are merged.
 
 The monomial basis of a fixed degree is enumerated in graded-lexicographic
 order: higher powers of earlier generators come first (x1^2, x1*x2, x2^2).
-Every matrix built here inherits that order, so output is reproducible.
+Every matrix built over them inherits that order, so output is reproducible.
+
+A derivation D is given by its generator images and extended by the graded
+Leibniz rule.  On a monomial m = x_0^e_0 ... x_n^e_n it is
+D(m) = sum_i e_i (-1)^(|x_i| |p_i|) d(x_i) * (m / x_i), where p_i is the part
+of m before x_i: the sign is negative exactly when x_i and p_i both have odd
+degree, and each term costs one monomial product.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import QMatrix, Subspace
+from .linalg import Subspace
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -34,7 +40,6 @@ __all__ = [
     "basis",
     "mul",
     "mono_mul",
-    "differential_matrix",
     "check_d_squared",
     "decomposable_subspace",
     "format_poly",
@@ -378,45 +383,42 @@ class Derivation:
         return None
 
     def apply_mono(self, mono: Mono) -> Poly:
+        """D(mono) = sum_i e_i (-1)^(|x_i| |p_i|) d(x_i) * (mono / x_i).
+
+        p_i is the part of mono before x_i; see the module docstring.
+        """
         gens = self.gens
         degs = gens._degrees
-        out = Poly.zero()
-        prefix_degree = 0
+        acc: dict = {}
+        prefix = 0
         for i, e in enumerate(mono):
-            if e:
-                img = self.images[i]
-                if not img.is_zero():
-                    left = Poly.monomial(gens, mono[:i])
-                    rest = (0,) * i + (e - 1,) + tuple(mono[i + 1 :])
-                    term = mul(gens, left, mul(gens, img, Poly.monomial(gens, rest)))
-                    coeff = -e if prefix_degree & 1 else e
-                    out = out + term.scaled(coeff)
-                prefix_degree += e * degs[i]
-        return out
+            if not e:
+                continue
+            terms = self.images[i].terms
+            if terms:
+                rest = mono[:i] + (e - 1,) + mono[i + 1 :]
+                if not rest[-1]:
+                    rest = _trim(rest)
+                outer = -e if prefix & degs[i] & 1 else e
+                for t, c in terms.items():
+                    sm = mono_mul(gens, t, rest)
+                    if sm is not None:
+                        sign, m = sm
+                        s = sign * outer
+                        c = c if s == 1 else c * s
+                        prev = acc.get(m)
+                        acc[m] = c if prev is None else prev + c
+            prefix += e * degs[i]
+        acc = {m: c for m, c in acc.items() if c}
+        return Poly(acc, prefix + 1) if acc else Poly()
 
     def apply(self, poly: Poly) -> Poly:
-        out = Poly.zero()
+        acc: dict = {}
         for mono, coeff in poly.terms.items():
-            out = out + self.apply_mono(mono).scaled(coeff)
-        return out
-
-
-def differential_matrix(
-    gens: GeneratorSet, deriv: Derivation, degree: int, guard: int = DEFAULT_GUARD
-) -> QMatrix:
-    """Matrix of the derivation from degree to degree + 1.
-
-    Rows and columns are indexed by the graded-lex monomial bases, so the
-    matrix is the same on every run.
-    """
-    dom = basis(gens, degree, guard)
-    cod = basis(gens, degree + 1, guard)
-    index = {m: i for i, m in enumerate(cod)}
-    rows = [[_ZERO] * len(dom) for _ in cod]
-    for j, m in enumerate(dom):
-        for mono, c in deriv.apply_mono(m).terms.items():
-            rows[index[mono]][j] = c
-    return QMatrix.from_rows(rows, cols=len(dom))
+            for m, c in self.apply_mono(mono).terms.items():
+                acc[m] = acc.get(m, _ZERO) + coeff * c
+        acc = {m: c for m, c in acc.items() if c}
+        return Poly(acc, poly.degree + 1) if acc else Poly()
 
 
 @dataclass(frozen=True)

@@ -122,19 +122,6 @@ class QMatrix:
             out.append(tuple(acc))
         return QMatrix(self.rows, other.cols, tuple(out))
 
-    def mulvec(self, vec: Sequence) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        v = _fraction_row(vec)
-        out = []
-        for row in self.entries:
-            s = _ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    s += a * b
-            out.append(s)
-        return tuple(out)
-
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False

@@ -94,6 +94,8 @@ class QuasiMorphism:
         self, algebra: CohomologyAlgebra, poly: Poly, degree: int
     ) -> AlgebraElement:
         acc = algebra.zero(degree)
+        if not algebra.dim(degree):
+            return acc
         for mono, coeff in poly.terms.items():
             img = self.on_mono(algebra, mono)
             if not img.is_zero():

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from fourfold import cli
 from fourfold.cli import main
+from fourfold.forms import RankTable
+from fourfold.gca import Derivation, Poly, mul
+from fourfold.sullivan import MinimalModelStage, build
 
 
 def run(capsys, *argv):
@@ -38,6 +42,39 @@ def test_ranks_engine_agreement_at_rank_three(capsys):
     assert code == 0
     assert "MISMATCH" not in out
     assert "5   10        10        ok" in out
+
+
+def test_ranks_engine_checks_degrees_without_a_closed_form(capsys):
+    code, out, _ = run(capsys, "ranks", "--b2", "4", "--engine", "--max-degree", "6")
+    assert code == 0
+    assert "5   -         45        ok" in out
+    assert "6   -         144       ok" in out
+
+
+def wrong_table_build(algebra, max_degree, guard):
+    # the engine's stage with pi_5 off by one, beyond the closed forms at b2=4
+    stage, table, reports = build(algebra, max_degree, guard=guard)
+    ranks = dict(table.ranks)
+    ranks[5] += 1
+    return stage, RankTable(ranks, table.finite_tail), reports
+
+
+def test_ranks_engine_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build", wrong_table_build)
+    code, out, _ = run(capsys, "ranks", "--b2", "4", "--engine", "--max-degree", "6")
+    assert code == 1
+    assert "5   -         46        MISMATCH" in out
+    assert "6   -         144       ok" in out
+
+
+def test_model_mismatch_exits_one(capsys, monkeypatch):
+    _, expected, _ = run(capsys, "model", "--b2", "4", "--max-degree", "5")
+    monkeypatch.setattr(cli, "build", wrong_table_build)
+    code, out, err = run(capsys, "model", "--b2", "4", "--max-degree", "5")
+    assert code == 1
+    assert out == expected.replace("pi_5=45", "pi_5=46")
+    assert err.count("\n") == 1
+    assert "pi_5 = 46" in err and "45" in err
 
 
 def test_ranks_json_round_trip(capsys):
@@ -249,12 +286,25 @@ def test_verify_single_rank_all_splits(capsys):
     assert "all checks passed" in out
 
 
-def test_verify_detects_injected_fault(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--b2", "2", "--max-degree", "4", "--inject-fault"
-    )
+def test_verify_detects_injected_fault(capsys, monkeypatch):
+    def broken_build(algebra, max_degree, guard):
+        # d(v3_1) = x1^2 is a d-closed image, but the stage map sends it to
+        # the fundamental class instead of zero
+        stage, table, reports = build(algebra, max_degree, guard=guard)
+        gens = stage.gens
+        x1 = Poly.generator(gens, "x1")
+        images = list(stage.diff.images)
+        images[gens.index("v3_1")] = mul(gens, x1, x1)
+        broken = MinimalModelStage(
+            algebra, gens, Derivation(gens, images), stage.qm, stage.k
+        )
+        return broken, table, reports
+
+    monkeypatch.setattr(cli, "build", broken_build)
+    code, out, _ = run(capsys, "verify", "--b2", "2", "--max-degree", "4")
     assert code == 1
     assert "[FAIL]" in out
+    assert "chain_map" in out
     assert "verification FAILED" in out
 
 

@@ -56,3 +56,30 @@ def test_model_json_is_byte_identical(capsys, cell):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[cell]
+
+
+# (b2, (b2+, b2-), D) -> sha256 of stdout of
+# `model --b2 B2 --split P,Q --max-degree D --format json`.  Deeper than the
+# grid above: these reach squared even generators with a nonzero
+# differential and even generators after an odd prefix, the cases where the
+# Leibniz coefficient e_i and the sign (-1)^{|x_i|*|prefix|} matter.
+DEEP_GOLDEN = {
+    (3, (1, 2), 7): "9277097d50eadd924c0e9abaf444f6805d7abd98daada000924ca90e0a2b0f22",
+    (3, (3, 0), 7): "95b90b68a4f283262dc22ba004898ddb07f6d5bcd14cb2c7bdb3abcbb9f50b21",
+    (4, (2, 2), 6): "070fe4dcededd94a08c9f371080535fb8b9b207a0acdbe844e63ffbef22f58d1",
+    (0, (0, 0), 9): "8e106dae19a80fdf27c27af219f273ec014d8d373b779b83670b66219356ea55",
+    (1, (0, 1), 9): "07999d4c682ef5fd61a750d5a26d9b14d3b812d95805cae836c887d5acc37dfe",
+    (2, (1, 1), 8): "bce1d0d0d762c13ef91584c2eb7b5545ea323de16bb557b590fee626987db911",
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(DEEP_GOLDEN), ids=lambda c: f"b2={c[0]}:{c[1][0]},{c[1][1]}:D={c[2]}"
+)
+def test_deep_model_json_is_byte_identical(capsys, cell):
+    b2, (plus, minus), max_degree = cell
+    argv = ["model", "--b2", str(b2), "--split", f"{plus},{minus}",
+            "--max-degree", str(max_degree), "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_GOLDEN[cell]

@@ -9,7 +9,6 @@ from fourfold.gca import (
     GeneratorSet,
     Poly,
     basis,
-    differential_matrix,
     mul,
 )
 from fourfold.linalg import QMatrix, Subspace, kernel_basis
@@ -170,7 +169,16 @@ def hand_stage(split):
 @pytest.mark.parametrize("split", splits(3))
 def test_degree5_system_matches_differential_kernel(split):
     gens, deriv = hand_stage(split)
-    engine_kernel = kernel_basis(differential_matrix(gens, deriv, 5))
+    a = algebra_from_split(*split)
+    qm = QuasiMorphism(
+        tuple(a.basis_element(2, i) for i in range(3)) + (a.zero(3),) * 5
+    )
+    _, reps, cob = stage_cohomology(MinimalModelStage(a, gens, deriv, qm, 3), 5)
+    assert cob.dim == 0  # so the representatives span the cocycles
+    blist = basis(gens, 5)
+    engine_kernel = Subspace.from_vectors(
+        len(blist), [[rep.coefficient(m) for m in blist] for rep in reps]
+    )
     system_kernel = kernel_basis(
         QMatrix.from_rows(cochain_coefficient_system(split), cols=15)
     )
