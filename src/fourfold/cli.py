@@ -67,8 +67,8 @@ def _load_form_file(path: str) -> tuple[IntersectionForm, str]:
             doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read form file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"form file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        raise InputError(f"form file {path} cannot be parsed as JSON: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise InputError(f'form file {path} must be an object with a "matrix" key')
     matrix = doc["matrix"]
@@ -354,6 +354,8 @@ def cmd_examples(args) -> int:
         label = f"complete intersection {tuple(degrees)} (b2={b2})"
         split = (b2, 0)
     elif which == "k3":
+        if params is not None:
+            raise InputError(f"k3 takes no parameter, got {params!r}")
         form = forms.k3_form()
         b2 = form.b2
         label = f"K3 surface (b2={b2}, sigma={form.signature})"

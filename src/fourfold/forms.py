@@ -2,11 +2,12 @@
 
 An intersection form is a symmetric unimodular integer matrix; rank and
 signature are computed exactly by congruence diagonalization.  From the form
-we present the rational cohomology algebra by structure constants (degrees 0,
-2 and 4, zero differential), evaluate the closed-form homotopy rank tables,
-and classify rational homotopy type by rank and signature.  A small catalog
-covers the classical examples: complex projective hypersurfaces, complete
-intersections, the K3 surface and connected sums of projective planes.
+we present the rational cohomology algebra by its diagonalized pairing
+(degrees 0, 2 and 4, zero differential), evaluate the closed-form homotopy
+rank tables, and classify rational homotopy type by rank and signature.  A
+small catalog covers the classical examples: complex projective
+hypersurfaces, complete intersections, the K3 surface and connected sums of
+projective planes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .linalg import NotSymmetric, QMatrix, congruence_diagonalize
 __all__ = [
     "NotUnimodular",
     "IntersectionForm",
-    "AlgebraElement",
     "CohomologyAlgebra",
     "RankTable",
     "make_form",
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotUnimodular(ValueError):
@@ -162,26 +161,16 @@ def connected_sum_form(plus: int, minus: int) -> IntersectionForm:
 
 
 @dataclass(frozen=True)
-class AlgebraElement:
-    """Element of a graded algebra, as coordinates in the degree basis."""
-
-    degree: int
-    coords: tuple[Fraction, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
-@dataclass(frozen=True)
 class CohomologyAlgebra:
-    """Rational cohomology of a four-manifold, by basis and structure constants.
+    """Rational cohomology of a four-manifold, given by its diagonalized pairing.
 
     Degree 0 is spanned by the unit, degree 2 by classes x1..xb2 that
-    diagonalize the intersection pairing, degree 4 by the volume class V.
-    Products: x_i * x_j = 0 for i != j, x_i^2 = +V or -V according to the
-    signature split, and V annihilates everything of positive degree.  At
-    rank zero the algebra is spanned by the unit and V alone.  The
-    differential is zero throughout.
+    diagonalize the intersection pairing, degree 4 by the volume class V; at
+    rank zero only the unit and V remain.  The only products of
+    positive-degree classes that can be nonzero are given by the pairing,
+    x_i * x_j = sign(i) V if i == j and 0 otherwise (`pair`); every other one
+    lands above degree 4.  Vectors are sparse dicts from basis index to
+    nonzero coefficient.  The differential is zero throughout.
     """
 
     b2: int
@@ -203,55 +192,19 @@ class CohomologyAlgebra:
             return self.b2
         return 0
 
-    def total_dim(self) -> int:
-        return self.b2 + 2
-
     def sign(self, i: int) -> int:
         return 1 if i < self.b2_plus else -1
 
-    def zero(self, degree: int) -> AlgebraElement:
-        return AlgebraElement(degree, (_ZERO,) * self.dim(degree))
-
-    def unit(self) -> AlgebraElement:
-        return AlgebraElement(0, (_ONE,))
-
-    def basis_element(self, degree: int, i: int) -> AlgebraElement:
-        d = self.dim(degree)
-        return AlgebraElement(
-            degree, tuple(_ONE if j == i else _ZERO for j in range(d))
-        )
-
-    def element(self, degree: int, coords: Sequence) -> AlgebraElement:
-        coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
-        if len(coords) != self.dim(degree):
-            raise ValueError("coordinate length mismatch")
-        return AlgebraElement(degree, coords)
-
-    def add(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        if a.degree != b.degree:
-            raise ValueError("cannot add elements of different degrees")
-        return AlgebraElement(a.degree, tuple(x + y for x, y in zip(a.coords, b.coords)))
-
-    def scale(self, c, a: AlgebraElement) -> AlgebraElement:
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return AlgebraElement(a.degree, tuple(c * x for x in a.coords))
-
-    def mul(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        degree = a.degree + b.degree
-        if self.dim(degree) == 0:
-            return self.zero(degree)
-        if a.degree == 0:
-            return self.scale(a.coords[0], AlgebraElement(degree, b.coords))
-        if b.degree == 0:
-            return self.scale(b.coords[0], AlgebraElement(degree, a.coords))
-        if a.degree == 2 and b.degree == 2:
-            acc = _ZERO
-            for i, (x, y) in enumerate(zip(a.coords, b.coords)):
-                if x and y:
-                    acc += x * y * self.sign(i)
-            return AlgebraElement(4, (acc,))
-        # positive-degree products landing above degree 4 were caught above
-        return self.zero(degree)
+    def pair(self, a: dict, b: dict) -> dict:
+        """Product of two degree-2 vectors: a multiple of V, as a sparse vector."""
+        if len(b) < len(a):
+            a, b = b, a
+        acc = _ZERO
+        for i, x in a.items():
+            y = b.get(i)
+            if y is not None:
+                acc += x * y * self.sign(i)
+        return {0: acc} if acc else {}
 
 
 def cohomology_algebra(form: IntersectionForm) -> CohomologyAlgebra:

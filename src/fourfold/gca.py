@@ -157,6 +157,16 @@ def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
     n = len(gens)
     degs = gens._degrees
     odd = gens._odd
+    # Count first, in integers, so the guard trips before any monomial is
+    # built: counts[m] is the number of degree-m monomials in the generators
+    # seen so far; an even generator takes any exponent, an odd one 0 or 1.
+    counts = [1] + [0] * degree
+    for d, o in zip(degs, odd):
+        steps = range(degree, d - 1, -1) if o else range(d, degree + 1)
+        for m in steps:
+            counts[m] += counts[m - d]
+    if counts[degree] > guard:
+        raise BasisTooLarge(degree, guard)
     sufmin = gens._suffix_min
     out: list[Mono] = []
     exps = [0] * n
@@ -171,8 +181,6 @@ def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
             exps[i - 1] = e
         if remaining == 0:
             out.append(_trim(exps[:i]))
-            if len(out) > guard:
-                raise BasisTooLarge(degree, guard)
             continue
         if i == n or remaining < sufmin[i]:
             continue

@@ -11,11 +11,16 @@ generators of two kinds:
   induced on degree-(k+2) cohomology by the stage map, mapped to zero.
 
 Because the target differential vanishes, the stage map must kill every z
-exactly, which the engine asserts rather than assumes.  The number of
-generators adjoined in degree r is the rank of the r-th rational homotopy
-group.  verify_stage() checks those counts in every degree against ranks
-that do not come from the engine: the loop-space series of the manifold
+exactly; each z is taken from the kernel of that map, and verify_stage()'s
+chain_map check re-checks every generator.  The number of generators
+adjoined in degree r is the rank of the r-th rational homotopy group.
+verify_stage() checks those counts in every degree against ranks that do not
+come from the engine: the loop-space series of the manifold
 (forms.loop_space_ranks).
+
+Target vectors are sparse rows (basis index -> nonzero coefficient), as in
+the linear algebra layer.  The only product the stage map needs is the
+pairing of two degree-2 classes, CohomologyAlgebra.pair.
 
 Kernel and complement bases are always the deterministic echelon bases of
 the linear algebra layer, so two runs produce identical models.  Any basis
@@ -33,10 +38,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
-from .forms import AlgebraElement, CohomologyAlgebra, RankTable, loop_space_ranks
+from .forms import CohomologyAlgebra, RankTable, loop_space_ranks
 from .gca import (
     DEFAULT_GUARD,
     BasisTooLarge,
@@ -51,6 +55,7 @@ from .linalg import (
     NotContained,
     Subspace,
     complement_in,
+    kernel_basis_from_rows,
     kernel_from_reduced,
     row_reduce,
 )
@@ -70,39 +75,56 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class NotSimplyConnected(ValueError):
     """The target algebra is not connected and simply connected."""
 
 
+def _add_scaled(acc: dict, coeff, row: dict) -> None:
+    """acc += coeff * row on sparse rows, in place, keeping nonzeros only."""
+    for j, x in row.items():
+        s = acc.get(j, _ZERO) + coeff * x
+        if s:
+            acc[j] = s
+        else:
+            del acc[j]
+
+
 @dataclass(frozen=True)
 class QuasiMorphism:
     """Multiplicative map from the free algebra to the target algebra.
 
-    Determined by one target element per generator; extended to monomials by
-    multiplying images and to polynomials linearly.
+    Determined by one sparse target vector per generator; extended to
+    monomials by multiplying images and to polynomials linearly.
     """
 
-    images: tuple[AlgebraElement, ...]
+    images: tuple[dict, ...]
 
-    def on_mono(self, algebra: CohomologyAlgebra, mono) -> AlgebraElement:
-        factors = [self.images[i] for i, e in enumerate(mono) for _ in range(e)]
-        return reduce(algebra.mul, factors) if factors else algebra.unit()
+    def on_mono(self, algebra: CohomologyAlgebra, mono) -> dict:
+        """Image of a monomial of degree 0, 2 or 4, the degrees where A lives.
 
-    def on_poly(
-        self, algebra: CohomologyAlgebra, poly: Poly, degree: int
-    ) -> AlgebraElement:
-        acc = algebra.zero(degree)
+        Such a monomial is 1, one generator or a product of two degree-2
+        generators; three positive-degree factors land in degree >= 6.
+        """
+        factors = [i for i, e in enumerate(mono) for _ in range(e)]
+        if not factors:
+            return {0: _ONE}
+        if len(factors) == 1:
+            return self.images[factors[0]]
+        i, j = factors
+        return algebra.pair(self.images[i], self.images[j])
+
+    def on_poly(self, algebra: CohomologyAlgebra, poly: Poly, degree: int) -> dict:
+        acc: dict = {}
         if not algebra.dim(degree):
             return acc
         for mono, coeff in poly.terms.items():
-            img = self.on_mono(algebra, mono)
-            if not img.is_zero():
-                acc = algebra.add(acc, algebra.scale(coeff, img))
+            _add_scaled(acc, coeff, self.on_mono(algebra, mono))
         return acc
 
-    def extended(self, more: Sequence[AlgebraElement]) -> "QuasiMorphism":
+    def extended(self, more: Sequence[dict]) -> "QuasiMorphism":
         return QuasiMorphism(self.images + tuple(more))
 
 
@@ -183,12 +205,7 @@ def _combine(combo: dict, rows: Sequence[dict]) -> dict:
     """The sparse row sum of combo[i] * rows[i]."""
     acc: dict = {}
     for i, coeff in combo.items():
-        for j, x in rows[i].items():
-            s = acc.get(j, _ZERO) + coeff * x
-            if s:
-                acc[j] = s
-            else:
-                del acc[j]
+        _add_scaled(acc, coeff, rows[i])
     return acc
 
 
@@ -224,7 +241,7 @@ def init_stage(algebra: CohomologyAlgebra) -> MinimalModelStage:
     n2 = algebra.dim(2)
     gens = GeneratorSet([(f"x{i + 1}", 2) for i in range(n2)])
     diff = Derivation(gens, [Poly.zero()] * n2)
-    qm = QuasiMorphism(tuple(algebra.basis_element(2, i) for i in range(n2)))
+    qm = QuasiMorphism(tuple({i: _ONE} for i in range(n2)))
     return MinimalModelStage(algebra, gens, diff, qm, 2)
 
 
@@ -244,29 +261,26 @@ def extend_stage(
     target_dim = algebra.dim(k + 1)
     if target_dim:
         image_vectors = [
-            stage.qm.on_poly(algebra, _vector_poly(z, low.blist, k + 1), k + 1).coords
+            stage.qm.on_poly(algebra, _vector_poly(z, low.blist, k + 1), k + 1)
             for z in low.kernel.rows.values()
         ]
         reached = Subspace.from_vectors(target_dim, image_vectors)
-        y_vectors = complement_in(reached, Subspace.full(target_dim)).basis
+        y_images = list(complement_in(reached, Subspace.full(target_dim)).rows.values())
     else:
-        y_vectors = ()
+        y_images = []
 
     # Exact generators: a complement of the coboundaries inside the
     # degree-(k+2) cocycles that the stage map sends to zero.
     boundary_sub = _coboundaries(low.image, high.blist)
     if algebra.dim(k + 2):
         zvecs = list(high.kernel.rows.values())
-        images = [
-            stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2).coords
-            for z in zvecs
-        ]
-        constraint_rows = [
-            {i: img[r] for i, img in enumerate(images) if img[r]}
-            for r in range(algebra.dim(k + 2))
-        ]
-        reduced, pivots = row_reduce(constraint_rows, len(zvecs))
-        combos = kernel_from_reduced(reduced, pivots, len(zvecs))
+        # One constraint row per target coordinate: the transposed images.
+        constraint_rows: dict = {}
+        for i, z in enumerate(zvecs):
+            image = stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2)
+            for r, x in image.items():
+                constraint_rows.setdefault(r, {})[i] = x
+        combos = kernel_basis_from_rows(list(constraint_rows.values()), len(zvecs))
         vanishing = Subspace.from_vectors(
             len(high.blist), [_combine(c, zvecs) for c in combos.rows.values()]
         )
@@ -276,21 +290,15 @@ def extend_stage(
         _vector_poly(v, high.blist, k + 2)
         for v in complement_in(boundary_sub, vanishing).rows.values()
     ]
-    for z in z_polys:
-        if not stage.qm.on_poly(algebra, z, k + 2).is_zero():
-            raise AssertionError("stage map fails to kill a kernel cocycle")
 
     degree = k + 1
-    new_gens = [Generator(f"u{degree}_{i + 1}", degree) for i in range(len(y_vectors))]
+    new_gens = [Generator(f"u{degree}_{i + 1}", degree) for i in range(len(y_images))]
     new_gens += [Generator(f"v{degree}_{j + 1}", degree) for j in range(len(z_polys))]
     gens2 = gens.extended(new_gens)
     diff2 = stage.diff.extended(
-        gens2, [Poly.zero()] * len(y_vectors) + list(z_polys)
+        gens2, [Poly.zero()] * len(y_images) + list(z_polys)
     )
-    qm2 = stage.qm.extended(
-        [algebra.element(degree, y) for y in y_vectors]
-        + [algebra.zero(degree)] * len(z_polys)
-    )
+    qm2 = stage.qm.extended(y_images + [{}] * len(z_polys))
     # Degree-n cochain data stays valid while no monomial of degree n is
     # created: appending degree-(k+1) generators only touches degree k+1
     # itself and degrees >= k+3.
@@ -298,7 +306,7 @@ def extend_stage(
     successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, carried)
     report = StageReport(
         k=k + 1,
-        new_cocycle_generators=len(y_vectors),
+        new_cocycle_generators=len(y_images),
         new_kernel_generators=len(z_polys),
         basis_sizes={k + 1: len(low.blist), k + 2: len(high.blist)},
         elapsed=time.perf_counter() - started,
@@ -404,7 +412,7 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
         img = stage.diff.image(i)
         if img.is_zero():
             continue
-        if not stage.qm.on_poly(algebra, img, g.degree + 1).is_zero():
+        if stage.qm.on_poly(algebra, img, g.degree + 1):
             bad_chain = g.name
             break
     checks.append(
@@ -428,7 +436,7 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
             iso_failures.append(f"H^{i}: stage {dim} vs target {target}")
             continue
         if target:
-            rows = [stage.qm.on_poly(algebra, rep, i).coords for rep in reps]
+            rows = [stage.qm.on_poly(algebra, rep, i) for rep in reps]
             _, pivots = row_reduce(rows, target)
             if len(pivots) != target:
                 iso_failures.append(f"H^{i}: induced map has rank {len(pivots)}")

@@ -210,6 +210,18 @@ def test_classify_rejects_asymmetric_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["ranks", "classify"])
+def test_form_file_with_an_over_long_integer_is_an_input_error(tmp_path, capsys, command):
+    # json.load refuses integers beyond the interpreter's digit limit
+    # (4300 by default) with a plain ValueError.
+    path = tmp_path / "huge.json"
+    path.write_text('{"matrix": [[' + "1" * 5000 + "]]}")
+    argv = ["ranks", "--form", str(path)] if command == "ranks" else ["classify", str(path), "cp2"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert str(path) in err
+
+
 def test_classify_rejects_non_unimodular(capsys):
     code, _, err = run(capsys, "classify", "diag:2", "cp2")
     assert code == 2
@@ -255,6 +267,13 @@ def test_examples_bad_parameters(capsys):
     assert code == 2
     code, _, err = run(capsys, "examples", "ci")
     assert code == 2
+
+
+def test_examples_k3_takes_no_parameter(capsys):
+    code, out, err = run(capsys, "examples", "k3", "junk")
+    assert code == 2
+    assert out == ""
+    assert "k3 takes no parameter" in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,31 @@ def test_basis_of_many_generators_needs_no_recursion():
     with pytest.raises(BasisTooLarge) as info:
         basis(gens, 4, guard=1000)
     assert (info.value.degree, info.value.limit) == (4, 1000)
+
+
+def test_basis_guard_trips_before_any_monomial_is_built():
+    gens = GeneratorSet([(f"x{i}", 2) for i in range(1000)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BasisTooLarge) as info:
+            basis(gens, 4, guard=20000)  # 500500 monomials
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.degree, info.value.limit) == (4, 20000)
+    assert peak < 1 << 20
+
+
+def test_basis_guard_is_the_exact_count():
+    rng = random.Random(7)
+    for _ in range(300):
+        gens = GeneratorSet([(f"g{i}", rng.randint(2, 7)) for i in range(rng.randint(1, 6))])
+        degree = rng.randint(1, 14)
+        size = len(basis(gens, degree))
+        assert len(basis(gens, degree, guard=size)) == size
+        if size:
+            with pytest.raises(BasisTooLarge):
+                basis(gens, degree, guard=size - 1)
 
 
 def test_basis_mixed_degree_five_counts():

@@ -70,6 +70,9 @@ DEEP_GOLDEN = {
     (0, (0, 0), 9): "8e106dae19a80fdf27c27af219f273ec014d8d373b779b83670b66219356ea55",
     (1, (0, 1), 9): "07999d4c682ef5fd61a750d5a26d9b14d3b812d95805cae836c887d5acc37dfe",
     (2, (1, 1), 8): "bce1d0d0d762c13ef91584c2eb7b5545ea323de16bb557b590fee626987db911",
+    # K3: the stage map pairs 19 negative classes, the first cell with many
+    # negative squares at b2 > 6.
+    (22, (3, 19), 3): "ad90f6d071abb3cfba756f9797767e7e6341c08571c4018c471ae4d58f88c19d",
 }
 
 
