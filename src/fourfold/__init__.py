@@ -49,8 +49,6 @@ from .linalg import (
     QMatrix,
     Subspace,
     complement_in,
-    congruence_diagonalize,
-    determinant,
     kernel_basis,
     rref,
 )
@@ -99,10 +97,8 @@ __all__ = [
     "cohomology_algebra",
     "complement_in",
     "complete_intersection_b2",
-    "congruence_diagonalize",
     "connected_sum_form",
     "decomposable_subspace",
-    "determinant",
     "diagonal_form",
     "e8_form",
     "empty_form",

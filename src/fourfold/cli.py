@@ -119,6 +119,8 @@ def _resolve_source(args) -> tuple[str, int, int, int]:
     """Resolve --b2/--split/--form into (label, b2, plus, minus)."""
     if args.form is not None and args.b2 is not None:
         raise InputError("give exactly one of --b2 or --form")
+    if args.form is not None and args.split is not None:
+        raise InputError("--split goes with --b2; a --form file fixes its own split")
     if args.form is not None:
         form, label = _load_form_file(args.form)
         return label, form.b2, form.b2_plus, form.b2_minus

@@ -1,13 +1,13 @@
 """Closed oriented simply connected four-manifolds via their intersection forms.
 
-An intersection form is a symmetric unimodular integer matrix; rank and
-signature are computed exactly by congruence diagonalization.  From the form
-we present the rational cohomology algebra by its diagonalized pairing
-(degrees 0, 2 and 4, zero differential), evaluate the closed-form homotopy
-rank tables, and classify rational homotopy type by rank and signature.  A
-small catalog covers the classical examples: complex projective
-hypersurfaces, complete intersections, the K3 surface and connected sums of
-projective planes.
+An intersection form is a symmetric unimodular integer matrix; rank,
+signature and determinant are computed exactly, in integers, by
+fraction-free symmetric elimination.  From the form we present the rational
+cohomology algebra by its diagonalized pairing (degrees 0, 2 and 4, zero
+differential), evaluate the closed-form homotopy rank tables, and classify
+rational homotopy type by rank and signature.  A small catalog covers the
+classical examples: complex projective hypersurfaces, complete
+intersections, the K3 surface and connected sums of projective planes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import NotSymmetric, QMatrix, congruence_diagonalize
+from .linalg import NotSymmetric
 
 __all__ = [
     "NotUnimodular",
@@ -73,12 +73,58 @@ def _validated_int(x) -> int:
     return x
 
 
+def _inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """(plus, minus, det) of a symmetric integer matrix, in integers only.
+
+    Symmetric fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
+    after step k the trailing block is D_k times the Schur complement of the
+    leading block, D_k its determinant and the last pivot, so every update
+    divides exactly by the pivot before.  A zero pivot is replaced by a
+    later nonzero diagonal entry (swap) or else by folding in a column j
+    with a[k][j] != 0, giving 2 a[k][j]; both are unimodular congruences on
+    indices >= k, so the leading minors and the exact divisions stay.  A
+    zero row of the trailing block is a zero of the diagonal and is skipped.
+    The diagonal entry D_k / D_{k-1} is positive when both minors have the
+    same sign.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    plus = minus = 0
+    prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            j = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((i for i in range(k + 1, n) if a[k][i]), None)
+                if j is None:
+                    continue
+                for row in a:
+                    row[k] += row[j]
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+        piv = a[k][k]
+        if (piv > 0) == (prev > 0):
+            plus += 1
+        else:
+            minus += 1
+        top = a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[k + 1 :], top)]
+        prev = piv
+    return plus, minus, prev if plus + minus == n else 0
+
+
 def make_form(matrix: Sequence[Sequence[int]]) -> IntersectionForm:
     """Validate a square symmetric integer matrix and derive its invariants.
 
-    The empty 0 x 0 matrix is the rank-zero form (the four-sphere class) and
-    skips the determinant check.  For positive rank, |det| must be 1; the
-    negative-definite diagonal forms are legal (det -1 in odd rank).
+    Rank, signature split and determinant come from `_inertia`.  The empty
+    0 x 0 matrix is the rank-zero form (the four-sphere class), with
+    determinant 1.  |det| must be 1; the negative-definite diagonal forms
+    are legal (det -1 in odd rank).
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -90,17 +136,9 @@ def make_form(matrix: Sequence[Sequence[int]]) -> IntersectionForm:
         for j in range(i):
             if data[i][j] != data[j][i]:
                 raise NotSymmetric("intersection form must be symmetric")
-    if n == 0:
-        return IntersectionForm(data, 0, 0, 0)
-    _, diag = congruence_diagonalize(QMatrix.from_rows(data))
-    # P^T S P = diag(d) with P made of swaps, folds and shears, so
-    # det P = +-1 and det S is the product of the diagonal.
-    det = math.prod(diag)
+    plus, minus, det = _inertia(data)
     if det != 1 and det != -1:
         raise NotUnimodular(f"determinant is {det}, expected +1 or -1")
-    plus = sum(1 for x in diag if x > 0)
-    minus = sum(1 for x in diag if x < 0)
-    assert plus + minus == n  # unimodular, so no zero can appear
     return IntersectionForm(data, n, plus, minus)
 
 

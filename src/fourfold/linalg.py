@@ -31,8 +31,6 @@ __all__ = [
     "kernel_basis_from_rows",
     "kernel_from_reduced",
     "complement_in",
-    "congruence_diagonalize",
-    "determinant",
 ]
 
 _ZERO = Fraction(0)
@@ -93,9 +91,6 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.entries]
-
     def transpose(self) -> "QMatrix":
         return QMatrix(
             self.cols,
@@ -121,15 +116,6 @@ class QMatrix:
                         acc[j] += v * orow[j]
             out.append(tuple(acc))
         return QMatrix(self.rows, other.cols, tuple(out))
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    return False
-        return True
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -337,84 +323,3 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
             raise NotContained("subspace is not contained in the ambient one")
     kept = {p: row for p, row in within.rows.items() if p not in sub.rows}
     return Subspace._echelon(sub.ambient_dim, kept)
-
-
-def congruence_diagonalize(matrix: QMatrix) -> tuple[QMatrix, tuple[Fraction, ...]]:
-    """Diagonalize a symmetric matrix by congruence.
-
-    Returns (P, d) with P invertible and P^T S P = diag(d) exactly.  Only
-    symmetric row/column operations are used, so the multiset of signs of d
-    is the congruence invariant of S.
-    """
-    if not matrix.is_symmetric():
-        raise NotSymmetric("congruence diagonalization needs a symmetric matrix")
-    n = matrix.rows
-    a = matrix.to_lists()
-    p = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if not a[k][k]:
-            j = next((i for i in range(k + 1, n) if a[i][i]), -1)
-            if j >= 0:
-                for t in range(n):
-                    a[t][k], a[t][j] = a[t][j], a[t][k]
-                a[k], a[j] = a[j], a[k]
-                for t in range(n):
-                    p[t][k], p[t][j] = p[t][j], p[t][k]
-            else:
-                j = next((i for i in range(k + 1, n) if a[k][i]), -1)
-                if j < 0:
-                    continue
-                # No nonzero diagonal is available: fold column/row j into
-                # k, which makes a[k][k] = 2 a[k][j] != 0.
-                for t in range(n):
-                    a[t][k] += a[t][j]
-                for t in range(n):
-                    a[k][t] += a[j][t]
-                for t in range(n):
-                    p[t][k] += p[t][j]
-        piv = a[k][k]
-        if not piv:
-            continue
-        for i in range(k + 1, n):
-            f = a[k][i] / piv
-            if f:
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    p[t][i] -= f * p[t][k]
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i][j]:
-                raise AssertionError("congruence reduction left an off-diagonal entry")
-    diag = tuple(a[i][i] for i in range(n))
-    return QMatrix(n, n, tuple(tuple(row) for row in p)), diag
-
-
-def determinant(matrix: QMatrix) -> Fraction:
-    """Exact determinant via fraction elimination with row swaps."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    a = matrix.to_lists()
-    det = _ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c]), -1)
-        if pr < 0:
-            return _ZERO
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            det = -det
-        piv = a[c][c]
-        det *= piv
-        for i in range(c + 1, n):
-            f = a[i][c]
-            if f:
-                f /= piv
-                row = a[i]
-                prow = a[c]
-                for j in range(c, n):
-                    if prow[j]:
-                        row[j] -= f * prow[j]
-    return det

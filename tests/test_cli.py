@@ -99,6 +99,17 @@ def test_ranks_rejects_inconsistent_split(capsys):
     assert "split" in err
 
 
+@pytest.mark.parametrize("command", ["ranks", "model"])
+def test_split_next_to_a_form_file_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"matrix": [[0, 1], [1, 0]]}))
+    for split in ("7,7", "1,1"):
+        code, out, err = run(capsys, command, "--form", str(path), "--split", split)
+        assert code == 2
+        assert out == ""
+        assert "--split" in err
+
+
 def test_ranks_guard_exceeded_prints_partial(capsys):
     code, out, err = run(capsys, "ranks", "--b2", "5", "--engine", "--guard", "10")
     assert code == 3
@@ -226,6 +237,25 @@ def test_classify_rejects_non_unimodular(capsys):
     code, _, err = run(capsys, "classify", "diag:2", "cp2")
     assert code == 2
     assert "determinant" in err
+
+
+@pytest.mark.parametrize(
+    "matrix, det", [([[0, 2], [2, 0]], -4), ([[1, 1], [1, 1]], 0)]
+)
+def test_classify_non_unimodular_file_message(tmp_path, capsys, matrix, det):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, "classify", str(path), "cp2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: form file {path}: determinant is {det}, expected +1 or -1\n"
+
+
+def test_classify_non_unimodular_diagonal_message(capsys):
+    code, out, err = run(capsys, "classify", "diag:2,3", "cp2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad diagonal form 'diag:2,3': determinant is 6, expected +1 or -1\n"
 
 
 # ----------------------------------------------------------------- examples

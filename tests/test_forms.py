@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,12 +21,14 @@ from fourfold.forms import (
     hypersurface_b2,
     k3_form,
     loop_space_ranks,
+    _inertia,
     make_form,
     rationally_equivalent,
 )
 from fourfold.gca import GeneratorSet, Poly
-from fourfold.linalg import NotSymmetric, QMatrix, determinant
+from fourfold.linalg import NotSymmetric, QMatrix
 from fourfold.sullivan import QuasiMorphism
+from fraction_reference import congruence_diagonalize, determinant
 
 F = Fraction
 
@@ -114,6 +117,52 @@ def test_k3_form_invariants():
     q = k3_form()
     assert (q.b2, q.signature) == (22, -16)
     assert canonical_connected_sum(q) == (3, 19)
+
+
+def reference_inertia(rows):
+    n = len(rows)
+    _, d = congruence_diagonalize(QMatrix.from_rows(rows, cols=n))
+    return sum(1 for x in d if x > 0), sum(1 for x in d if x < 0), math.prod(d)
+
+
+def test_inertia_agrees_with_fraction_reference():
+    # Mostly zero diagonals force swaps and folds after earlier elimination
+    # steps; singular and non-unimodular matrices are among the samples.
+    rng = random.Random(53)
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.25:
+                rows[i][i] = rng.randint(-3, 3)
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        assert _inertia(rows) == reference_inertia(rows), rows
+
+
+def scrambled(matrix, rng, target=1000):
+    """A random congruence P^T A P, P unimodular, with some entry near `target`."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    while max(abs(x) for row in a for x in row) < target:
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in a:
+            row[i] += c * row[j]
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def test_make_form_on_congruences_with_large_entries():
+    rng = random.Random(71)
+    e8_plus_h = [list(r) + [0, 0] for r in e8_form().matrix]
+    e8_plus_h += [[0] * 8 + [0, 1], [0] * 8 + [1, 0]]
+    for base, expected in ((k3_form().matrix, (22, 3, 19)), (e8_plus_h, (10, 9, 1))):
+        for _ in range(4):
+            q = make_form(scrambled(base, rng))
+            assert max(abs(x) for row in q.matrix for x in row) >= 1000
+            assert (q.b2, q.b2_plus, q.b2_minus) == expected
 
 
 # ------------------------------------------------------------------- algebra
