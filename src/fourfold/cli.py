@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import forms
 from .forms import (
@@ -147,9 +146,11 @@ def _meta(b2: int, plus: int, minus: int, max_degree: int) -> dict:
     }
 
 
-def _check_max_degree(args) -> None:
+def _check_engine_options(args) -> None:
     if args.max_degree < 2:
         raise InputError(f"--max-degree must be at least 2, got {args.max_degree}")
+    if args.guard < 0:
+        raise InputError(f"--guard must be nonnegative, got {args.guard}")
 
 
 def _tail_note(table: RankTable) -> str:
@@ -185,7 +186,7 @@ def cmd_ranks(args) -> int:
     engine_table = None
     agreement = None
     if args.engine:
-        _check_max_degree(args)
+        _check_engine_options(args)
         _, engine_table, _ = build(
             algebra_from_split(plus, minus), args.max_degree, guard=args.guard
         )
@@ -233,7 +234,7 @@ def _poly_json(stage: MinimalModelStage, poly: Poly) -> list:
         coeff = poly.terms[mono]
         out.append(
             {
-                "coeff": str(Fraction(coeff)),
+                "coeff": str(coeff),
                 "monomial": [[gens[i].name, e] for i, e in enumerate(mono) if e],
             }
         )
@@ -257,7 +258,7 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> di
 
 def cmd_model(args) -> int:
     label, b2, plus, minus = _resolve_source(args)
-    _check_max_degree(args)
+    _check_engine_options(args)
     stage, table, _ = build(
         algebra_from_split(plus, minus), args.max_degree, guard=args.guard
     )
@@ -389,7 +390,7 @@ def _verify_one(split: tuple[int, int], max_degree: int, guard: int):
 
 
 def cmd_verify(args) -> int:
-    _check_max_degree(args)
+    _check_engine_options(args)
     if args.b2 is not None:
         if args.b2 < 0:
             raise InputError("--b2 must be nonnegative")

@@ -208,17 +208,12 @@ def mono_mul(gens: GeneratorSet, a: Mono, b: Mono):
             if j in aset:
                 return None
             inversions += len(a_odd) - bisect_right(a_odd, j)
-    la, lb = len(a), len(b)
-    if la < lb:
-        prod = list(b)
-        for i, e in enumerate(a):
-            if e:
-                prod[i] += e
-    else:
-        prod = list(a)
-        for i, e in enumerate(b):
-            if e:
-                prod[i] += e
+    if len(a) < len(b):
+        a, b = b, a
+    prod = list(a)
+    for i, e in enumerate(b):
+        if e:
+            prod[i] += e
     return (-1 if inversions & 1 else 1), tuple(prod)
 
 
@@ -228,12 +223,8 @@ class Poly:
     __slots__ = ("terms", "degree")
 
     def __init__(self, terms: dict | None = None, degree: int | None = None):
-        if terms:
-            self.terms = terms
-            self.degree = degree
-        else:
-            self.terms = {}
-            self.degree = None
+        self.terms = terms or {}
+        self.degree = degree if terms else None
 
     @staticmethod
     def zero() -> "Poly":

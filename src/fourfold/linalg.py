@@ -8,7 +8,10 @@ Rows are sparse: dicts from column index to nonzero value.  One routine,
 `_eliminate`, reduces rows against echelon rows keyed by pivot column,
 lowest pivot first, then back-substitutes; rank, kernels, complements and
 membership all go through it.  Reduced echelon bases are unique, so results
-depend only on the column order, never on the row order.  Dense tuples
+depend only on the column order, never on the row order.  A kernel takes one
+elimination, of its system with the columns reversed: the kernel vectors read
+off that form are already in reduced echelon form in the original order
+(`kernel_from_reduced`).  Dense tuples
 appear only at the public boundary (`QMatrix`, `rref`, `kernel_basis`,
 `Subspace.basis`); functions taking rows accept sparse or dense ones.
 """
@@ -212,8 +215,7 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     reduced, pivots = row_reduce(matrix.entries, matrix.cols)
     entries = [_dense(r, matrix.cols) for r in reduced]
     entries += [(_ZERO,) * matrix.cols] * (matrix.rows - len(entries))
-    reduced_matrix = QMatrix(matrix.rows, matrix.cols, tuple(entries))
-    return reduced_matrix, tuple(pivots), len(pivots)
+    return QMatrix(matrix.rows, matrix.cols, tuple(entries)), tuple(pivots), len(pivots)
 
 
 class Subspace:
@@ -280,26 +282,30 @@ class Subspace:
 
 def kernel_basis_from_rows(rows: Sequence, ncols: int) -> Subspace:
     """Kernel of the linear map whose constraint rows are given."""
-    reduced, pivots = row_reduce(rows, ncols)
+    flipped = [{ncols - 1 - j: x for j, x in _sparse(r, ncols).items()} for r in rows]
+    reduced, pivots = row_reduce(flipped, ncols)
     return kernel_from_reduced(reduced, pivots, ncols)
 
 
 def kernel_from_reduced(
     reduced: Sequence[dict], pivots: Sequence[int], ncols: int
 ) -> Subspace:
-    """Kernel read off a system in reduced row echelon form.
+    """Kernel read off the reduced echelon form R of a column-reversed system.
 
-    Each free column f gives the vector e_f - sum_p R[p][f] e_p; those span
-    the kernel and are put into reduced echelon form.
+    R (`reduced`, `pivots`) holds column j of the system at ncols - 1 - j.
+    A free column f' gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f'
+    and pivots p' < f'; in the original order it leads with 1 at a free column
+    and vanishes at every other one: the kernel's reduced echelon basis.
     """
+    last = ncols - 1
     vectors = {f: {f: _ONE} for f in range(ncols)}
     for p in pivots:
-        del vectors[p]
+        del vectors[last - p]
     for p, row in zip(pivots, reduced):
         for f, x in row.items():
             if f != p:
-                vectors[f][p] = -x
-    return Subspace.from_vectors(ncols, list(vectors.values()))
+                vectors[last - f][last - p] = -x
+    return Subspace._echelon(ncols, vectors)
 
 
 def kernel_basis(matrix: QMatrix) -> Subspace:

@@ -29,8 +29,9 @@ choice would give an isomorphic model and the same rank table.
 Degree bookkeeping: only monomials in generators of degree <= n can appear
 in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
-previous one and performs exactly one new large elimination, for the
-cocycles two degrees above the new stage.
+previous one and eliminates exactly one new differential, the one on the
+cochains two degrees above the new stage; its kernel is read off that same
+column-reversed reduction (linalg.kernel_from_reduced).
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class _DiffData:
     """Differential of one degree: domain basis, kernel and image data.
 
     `kernel` is the cocycle subspace in coordinates over `blist`; `image`
-    holds the differentials of the pivot columns, an independent basis of
-    the coboundaries one degree up.
+    holds the differentials of the pivot columns of the column-reversed
+    reduction, an independent basis of the coboundaries one degree up.
     """
 
     blist: tuple
@@ -213,20 +214,19 @@ def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
     cached = stage._data.get(n)
     if cached is not None:
         return cached
-    gens = stage.gens
-    blist = basis(gens, n, guard) if n >= 0 else []
-    cod = basis(gens, n + 1, guard)
-    index = {m: i for i, m in enumerate(cod)}
+    blist = basis(stage.gens, n, guard) if n >= 0 else []
+    index = {m: i for i, m in enumerate(basis(stage.gens, n + 1, guard))}
     ncols = len(blist)
+    last = ncols - 1
     col_polys = [stage.diff.apply_mono(m) for m in blist]
+    # Reversed columns: kernel_from_reduced needs no second elimination.
     rowmap: dict = {}
     for j, p in enumerate(col_polys):
         for mono, c in p.terms.items():
-            rowmap.setdefault(index[mono], {})[j] = c
-    rows = [rowmap[i] for i in sorted(rowmap)]
-    reduced, pivots = row_reduce(rows, ncols)
+            rowmap.setdefault(index[mono], {})[last - j] = c
+    reduced, pivots = row_reduce([rowmap[i] for i in sorted(rowmap)], ncols)
     kernel = kernel_from_reduced(reduced, pivots, ncols)
-    image = tuple(col_polys[j] for j in pivots)
+    image = tuple(col_polys[last - q] for q in pivots)
     data = _DiffData(tuple(blist), kernel, image)
     stage._data[n] = data
     return data
@@ -342,11 +342,13 @@ def build(
     Returns the final stage, the rank table (rank of the r-th homotopy group
     = generators of degree r, for 2 <= r <= max_degree) and the per-step
     reports.  If the basis guard trips, the raised BasisTooLarge carries the
-    table of the stages completed so far.  The table is not checked here;
+    table of any stages completed so far.  The table is not checked here;
     verify_stage() checks it against the loop-space series.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
+    if algebra.dim(2) > guard:  # the degree-2 basis: one generator per class
+        raise BasisTooLarge(2, guard)
     stage = init_stage(algebra)
     reports: list[StageReport] = []
     try:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fourfold import cli
+from fourfold import cli, sullivan
 from fourfold.cli import main
 from fourfold.forms import RankTable
 from fourfold.gca import Derivation, Poly, mul
@@ -321,6 +321,48 @@ def test_max_degree_below_two_is_an_input_error(capsys, argv):
     assert code == 2
     assert "--max-degree" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "--b2", "3", "--engine", "--guard", "-5"),
+        ("model", "--b2", "3", "--guard", "-5"),
+        ("examples", "connected-sum", "2,1", "--engine", "--guard", "-1"),
+        ("verify", "--b2", "3", "--guard", "-5"),
+    ],
+    ids=["ranks", "model", "examples", "verify"],
+)
+def test_negative_guard_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: --guard must be nonnegative, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "--b2", "1000000", "--engine", "--max-degree", "3"),
+        ("model", "--b2", "99999999999999999999", "--max-degree", "3"),
+    ],
+    ids=["ranks", "model"],
+)
+def test_guard_trips_at_degree_two_before_any_generator(capsys, monkeypatch, argv):
+    def no_stage(algebra):
+        raise AssertionError("init_stage ran although the guard trips at degree 2")
+
+    monkeypatch.setattr(sullivan, "init_stage", no_stage)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: monomial basis in degree 2 exceeds the guard limit 200000\n"
+
+
+def test_guard_at_degree_four_keeps_partial_ranks(capsys):
+    code, out, err = run(capsys, "ranks", "--b2", "2000", "--engine", "--max-degree", "3")
+    assert code == 3
+    assert out == "partial ranks before the guard tripped: {2:2000}\n"
+    assert err == "error: monomial basis in degree 4 exceeds the guard limit 200000\n"
 
 
 # ------------------------------------------------------------------- verify

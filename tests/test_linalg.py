@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from fourfold.forms import algebra_from_split
+from fourfold.gca import basis
 from fourfold.linalg import (
     NotContained,
     NotSymmetric,
@@ -11,8 +13,10 @@ from fourfold.linalg import (
     Subspace,
     complement_in,
     kernel_basis,
+    kernel_basis_from_rows,
     rref,
 )
+from fourfold.sullivan import build
 from fraction_reference import congruence_diagonalize, determinant
 
 F = Fraction
@@ -414,3 +418,32 @@ def test_sparse_and_dense_rows_agree():
         Subspace.from_vectors(3, [{3: F(1)}])
     with pytest.raises(ValueError):
         Subspace.from_vectors(3, [[F(1), F(0)]])
+
+
+def differential_rows(b2, max_degree, degree):
+    """Sparse constraint rows of d from degree `degree` of the stage built
+    through `max_degree`: one row per target monomial, graded-lex columns."""
+    stage, _, _ = build(algebra_from_split(b2, 0), max_degree)
+    blist = basis(stage.gens, degree)
+    index = {m: i for i, m in enumerate(basis(stage.gens, degree + 1))}
+    rowmap = {}
+    for j, m in enumerate(blist):
+        for mono, c in stage.diff.apply_mono(m).terms.items():
+            rowmap.setdefault(index[mono], {})[j] = c
+    return [rowmap[i] for i in sorted(rowmap)], len(blist)
+
+
+def test_kernel_of_a_real_differential_matches_dense_reference():
+    # b2 = 3, degree 8 -> 9 at stage 7: 193 rows, 212 columns, nullity 101,
+    # far past the random shapes above
+    rows, ncols = differential_rows(3, 7, 8)
+    rng = random.Random("differential-b2=3-degree-8")
+    rows = [{j: x * F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+             for j, x in row.items()} for row in rows]
+    rows += [{j: 2 * x for j, x in rng.choice(rows).items()} for _ in range(5)]
+    rng.shuffle(rows)
+    dense = [[row.get(j, F(0)) for j in range(ncols)] for row in rows]
+    kernel = kernel_basis_from_rows(rows, ncols)
+    assert 0 < kernel.dim < ncols
+    assert kernel.basis == tuple(ref_kernel(dense, ncols))
+    assert kernel_basis_from_rows(dense, ncols) == kernel

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from fourfold import linalg, sullivan
 from fourfold.forms import algebra_from_split
 from fourfold.gca import (
+    DEFAULT_GUARD,
     BasisTooLarge,
     Derivation,
     GeneratorSet,
@@ -291,6 +293,26 @@ def test_build_guard_failure_carries_partial_table():
     assert exc.partial_ranks is not None
     assert exc.partial_ranks.ranks == {2: 4, 3: 9}
     assert exc.reports  # at least one stage completed
+
+
+def test_one_elimination_per_differential(monkeypatch):
+    built, _, _ = build(algebra_from_split(2, 1), max_degree=6)
+    stage = MinimalModelStage(built.algebra, built.gens, built.diff, built.qm, built.k)
+    calls = []
+    real = linalg._eliminate
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for n in range(9):
+        before = len(calls)
+        data = sullivan._diff_data(stage, n, DEFAULT_GUARD)
+        assert len(calls) == before + 1, f"degree {n}"
+        assert sullivan._diff_data(stage, n, DEFAULT_GUARD) is data
+        assert len(calls) == before + 1, f"degree {n}, cached"
+    assert stage._data[8].kernel.dim  # a nontrivial kernel among them
 
 
 def test_build_reports_shapes():
