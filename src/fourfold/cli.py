@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 
 from . import forms
 from .forms import (
@@ -230,12 +231,12 @@ def cmd_ranks(args) -> int:
 def _poly_json(stage: MinimalModelStage, poly: Poly) -> list:
     gens = stage.gens
     out = []
-    for mono in sorted(poly.terms, reverse=True):
+    for mono in sorted(poly.terms):
         coeff = poly.terms[mono]
         out.append(
             {
                 "coeff": str(coeff),
-                "monomial": [[gens[i].name, e] for i, e in enumerate(mono) if e],
+                "monomial": [[gens[i].name, len(list(run))] for i, run in groupby(mono)],
             }
         )
     return out
@@ -375,6 +376,8 @@ def cmd_examples(args) -> int:
     args.b2 = b2
     args.form = None
     args.split = f"{split[0]},{split[1]}"
+    if args.engine:
+        _check_engine_options(args)
     if args.format != "json":
         print(f"{label}")
     return cmd_ranks(args)

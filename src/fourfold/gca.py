@@ -1,14 +1,18 @@
 """Free graded-commutative algebras with Koszul signs.
 
-Generators all have degree >= 2.  A monomial is a tuple of exponents aligned
-with the generator list, trailing zeros trimmed, so values built at one stage
-stay valid after more generators are appended.  Odd-degree generators square
-to zero; the sign of a product counts the crossings of odd factors when the
-two sorted generator words are merged.
+Generators all have degree >= 2.  A monomial is its word of generator
+indices in ascending order, one entry per factor: x1^2*x5 is (0, 0, 4) and
+the unit is ().  Indices never move, so values built at one stage stay valid
+after more generators are appended.  Odd-degree generators square to zero,
+so an odd index appears at most once; the sign of a product counts the
+crossings of odd factors when the two words are merged.
 
-The monomial basis of a fixed degree is enumerated in graded-lexicographic
-order: higher powers of earlier generators come first (x1^2, x1*x2, x2^2).
-Every matrix built over them inherits that order, so output is reproducible.
+The monomial basis of a fixed degree is enumerated in lexicographic order of
+words: higher powers of earlier generators come first (x1^2, x1*x2, x2^2).
+Within one degree no word is a proper prefix of another, so this is the
+graded-lex order of exponent vectors, and plain `sorted` on the words of a
+polynomial gives it.  Every matrix built over the basis inherits that order,
+so output is reproducible.
 
 A derivation D is given by its generator images and extended by the graded
 Leibniz rule.  On a monomial m = x_0^e_0 ... x_n^e_n it is
@@ -22,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Subspace
@@ -48,7 +53,7 @@ __all__ = [
 
 DEFAULT_GUARD = 200_000
 
-Mono = tuple  # exponent tuple, trailing zeros trimmed
+Mono = tuple  # ascending word of generator indices
 ONE_MONO: Mono = ()
 
 _ZERO = Fraction(0)
@@ -77,13 +82,6 @@ class DegreeMismatch(ValueError):
 class Generator:
     name: str
     degree: int
-
-
-def _trim(exps: Sequence[int]) -> Mono:
-    i = len(exps)
-    while i and not exps[i - 1]:
-        i -= 1
-    return tuple(exps[:i])
 
 
 class GeneratorSet:
@@ -142,7 +140,7 @@ class GeneratorSet:
 
     def monomial_degree(self, mono: Mono) -> int:
         degs = self._degrees
-        return sum(e * degs[i] for i, e in enumerate(mono) if e)
+        return sum(degs[i] for i in mono)
 
     def generators_of_degree(self, degree: int) -> list:
         return [g for g in self.generators if g.degree == degree]
@@ -169,26 +167,26 @@ def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
         raise BasisTooLarge(degree, guard)
     sufmin = gens._suffix_min
     out: list[Mono] = []
-    exps = [0] * n
-    # Depth-first over exponent choices, highest exponent first.  An entry
-    # (i, remaining, e) sets the exponent of generator i - 1 to e; entries
-    # above it on the stack only touch later generators, so exps[:i] is
-    # always the prefix that leads to it.
-    stack = [(0, degree, 0)]
+    # Depth-first over words, children in ascending index so that the words
+    # come out in lexicographic order.  An entry (word, start, remaining)
+    # extends word by indices >= start; a child is pushed only if it is
+    # complete or some generator from its start on still fits.
+    stack = [((), 0, degree)]
     while stack:
-        i, remaining, e = stack.pop()
-        if i:
-            exps[i - 1] = e
-        if remaining == 0:
-            out.append(_trim(exps[:i]))
+        word, start, remaining = stack.pop()
+        if not remaining:
+            out.append(word)
             continue
-        if i == n or remaining < sufmin[i]:
-            continue
-        d = degs[i]
-        top = remaining // d
-        if odd[i] and top > 1:
-            top = 1
-        stack.extend((i + 1, remaining - e * d, e) for e in range(top + 1))
+        children = []
+        for i in range(start, n):
+            if remaining < sufmin[i]:
+                break
+            rest = remaining - degs[i]
+            nxt = i + 1 if odd[i] else i
+            if rest >= sufmin[nxt] or not rest:
+                children.append((word + (i,), nxt, rest))
+        children.reverse()
+        stack.extend(children)
     return out
 
 
@@ -199,8 +197,8 @@ def mono_mul(gens: GeneratorSet, a: Mono, b: Mono):
     if not b:
         return 1, a
     odd = gens._odd
-    a_odd = [i for i, e in enumerate(a) if e and odd[i]]
-    b_odd = [i for i, e in enumerate(b) if e and odd[i]]
+    a_odd = [i for i in a if odd[i]]
+    b_odd = [i for i in b if odd[i]]
     inversions = 0
     if a_odd and b_odd:
         aset = set(a_odd)
@@ -208,13 +206,7 @@ def mono_mul(gens: GeneratorSet, a: Mono, b: Mono):
             if j in aset:
                 return None
             inversions += len(a_odd) - bisect_right(a_odd, j)
-    if len(a) < len(b):
-        a, b = b, a
-    prod = list(a)
-    for i, e in enumerate(b):
-        if e:
-            prod[i] += e
-    return (-1 if inversions & 1 else 1), tuple(prod)
+    return (-1 if inversions & 1 else 1), tuple(sorted(a + b))
 
 
 class Poly:
@@ -238,11 +230,14 @@ class Poly:
             coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if not coeff:
                 continue
-            mono = _trim(mono)
+            prev = -1
+            for i in mono:
+                if not 0 <= i < len(gens):
+                    raise ValueError(f"monomial {mono}: index {i} is out of range")
+                if i < prev or (i == prev and gens._odd[i]):
+                    raise ValueError(f"monomial {mono}: indices must ascend, odd ones once")
+                prev = i
             d = gens.monomial_degree(mono)
-            for i, e in enumerate(mono):
-                if e < 0 or (e > 1 and gens._odd[i]):
-                    raise ValueError(f"invalid exponent {e} in monomial {mono}")
             if degree is None:
                 degree = d
             elif degree != d:
@@ -253,23 +248,17 @@ class Poly:
 
     @staticmethod
     def monomial(gens: GeneratorSet, mono: Mono, coeff=1) -> "Poly":
-        coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        mono = _trim(mono)
-        if not coeff:
-            return Poly()
-        return Poly({mono: coeff}, gens.monomial_degree(mono))
+        return Poly.from_terms(gens, {mono: coeff})
 
     @staticmethod
     def generator(gens: GeneratorSet, name: str, coeff=1) -> "Poly":
-        i = gens.index(name)
-        mono = (0,) * i + (1,)
-        return Poly.monomial(gens, mono, coeff)
+        return Poly.monomial(gens, (gens.index(name),), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(_trim(mono), _ZERO)
+        return self.terms.get(mono, _ZERO)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -377,7 +366,7 @@ class Derivation:
         """First (generator name, monomial) whose image has a linear term."""
         for g, img in zip(self.gens, self.images):
             for mono in img.terms:
-                if sum(mono) < 2:
+                if len(mono) < 2:
                     return g.name, mono
         return None
 
@@ -390,14 +379,13 @@ class Derivation:
         degs = gens._degrees
         acc: dict = {}
         prefix = 0
-        for i, e in enumerate(mono):
-            if not e:
-                continue
+        k = 0
+        while k < len(mono):  # one pass per run x_i^e, which starts at k
+            i = mono[k]
+            e = mono.count(i)
             terms = self.images[i].terms
             if terms:
-                rest = mono[:i] + (e - 1,) + mono[i + 1 :]
-                if not rest[-1]:
-                    rest = _trim(rest)
+                rest = mono[:k] + mono[k + 1 :]
                 outer = -e if prefix & degs[i] & 1 else e
                 for t, c in terms.items():
                     sm = mono_mul(gens, t, rest)
@@ -408,6 +396,7 @@ class Derivation:
                         prev = acc.get(m)
                         acc[m] = c if prev is None else prev + c
             prefix += e * degs[i]
+            k += e
         acc = {m: c for m, c in acc.items() if c}
         return Poly(acc, prefix + 1) if acc else Poly()
 
@@ -472,14 +461,12 @@ def decomposable_subspace(
 
 
 def format_mono(gens: GeneratorSet, mono: Mono) -> str:
-    if not any(mono):
+    if not mono:
         return "1"
     parts = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            parts.append(gens[i].name)
-        elif e:
-            parts.append(f"{gens[i].name}^{e}")
+    for i, run in groupby(mono):
+        e = len(list(run))
+        parts.append(gens[i].name if e == 1 else f"{gens[i].name}^{e}")
     return "*".join(parts)
 
 
@@ -487,7 +474,7 @@ def format_poly(gens: GeneratorSet, poly: Poly) -> str:
     if poly.is_zero():
         return "0"
     pieces = []
-    for mono in sorted(poly.terms, reverse=True):
+    for mono in sorted(poly.terms):
         coeff = poly.terms[mono]
         negative = coeff < 0
         mag = -coeff if negative else coeff

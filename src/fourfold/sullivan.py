@@ -109,12 +109,11 @@ class QuasiMorphism:
         Such a monomial is 1, one generator or a product of two degree-2
         generators; three positive-degree factors land in degree >= 6.
         """
-        factors = [i for i, e in enumerate(mono) for _ in range(e)]
-        if not factors:
+        if not mono:
             return {0: _ONE}
-        if len(factors) == 1:
-            return self.images[factors[0]]
-        i, j = factors
+        if len(mono) == 1:
+            return self.images[mono[0]]
+        i, j = mono
         return algebra.pair(self.images[i], self.images[j])
 
     def on_poly(self, algebra: CohomologyAlgebra, poly: Poly, degree: int) -> dict:

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -312,13 +313,15 @@ def test_examples_k3_takes_no_parameter(capsys):
         ("ranks", "--b2", "3", "--engine", "--max-degree", "1"),
         ("model", "--b2", "3", "--max-degree", "1"),
         ("examples", "connected-sum", "2,1", "--engine", "--max-degree", "0"),
+        ("examples", "k3", "--engine", "--max-degree", "0"),
         ("verify", "--b2", "3", "--max-degree", "-1"),
     ],
-    ids=["ranks", "model", "examples", "verify"],
+    ids=["ranks", "model", "examples", "examples-k3", "verify"],
 )
 def test_max_degree_below_two_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""  # nothing is printed before the options are checked
     assert "--max-degree" in err
     assert "Traceback" not in err
 
@@ -336,6 +339,7 @@ def test_max_degree_below_two_is_an_input_error(capsys, argv):
 def test_negative_guard_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err == f"error: --guard must be nonnegative, got {argv[-1]}\n"
 
 
@@ -363,6 +367,21 @@ def test_guard_at_degree_four_keeps_partial_ranks(capsys):
     assert code == 3
     assert out == "partial ranks before the guard tripped: {2:2000}\n"
     assert err == "error: monomial basis in degree 4 exceeds the guard limit 200000\n"
+
+
+def test_k3_guard_trips_in_degree_seven_within_64_mib(capsys):
+    # The degree-6 basis (111090 monomials) passes the guard and is built
+    # before the degree-7 count trips it; its words must stay small.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "examples", "k3", "--engine", "--max-degree", "5")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out.endswith("partial ranks before the guard tripped: {2:22, 3:252, 4:3520}\n")
+    assert err == "error: monomial basis in degree 7 exceeds the guard limit 200000\n"
+    assert peak < 64 << 20
 
 
 # ------------------------------------------------------------------- verify

@@ -201,7 +201,7 @@ def test_algebra_rank_zero_shape():
     # the top class squares to zero: u -> V sends u^2 to degree 8
     gens = GeneratorSet([("u", 4)])
     qm = QuasiMorphism(({0: F(1)},))
-    assert qm.on_poly(a, Poly.monomial(gens, (2,)), 8) == {}
+    assert qm.on_poly(a, Poly.monomial(gens, (0, 0)), 8) == {}
 
 
 def test_algebra_rank_one_powers():
@@ -209,8 +209,8 @@ def test_algebra_rank_one_powers():
     assert a.pair({0: F(1)}, {0: F(1)}) == {0: F(1)}  # x^2 = V
     gens = GeneratorSet([("x", 2)])
     qm = QuasiMorphism(({0: F(1)},))
-    assert qm.on_poly(a, Poly.monomial(gens, (2,)), 4) == {0: F(1)}
-    assert qm.on_poly(a, Poly.monomial(gens, (3,)), 6) == {}  # x^3 = 0
+    assert qm.on_poly(a, Poly.monomial(gens, (0, 0)), 4) == {0: F(1)}
+    assert qm.on_poly(a, Poly.monomial(gens, (0, 0, 0)), 6) == {}  # x^3 = 0
 
 
 def test_cohomology_algebra_sign_split():

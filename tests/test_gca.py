@@ -15,9 +15,12 @@ from fourfold.gca import (
     check_d_squared,
     decomposable_subspace,
     format_poly,
+    mono_mul,
     mul,
 )
 from fourfold.linalg import Subspace
+
+from dense_reference import dense_basis, dense_mono_mul, to_word
 
 F = Fraction
 
@@ -68,7 +71,7 @@ def test_basis_degree_zero_is_unit():
 
 def test_basis_two_degree_two_generators():
     got = basis(two_vars(), 4)
-    assert got == [(2,), (1, 1), (0, 2)]  # x1^2, x1*x2, x2^2 in graded-lex order
+    assert got == [(0, 0), (0, 1), (1, 1)]  # x1^2, x1*x2, x2^2 in graded-lex order
 
 
 def test_basis_of_many_generators_needs_no_recursion():
@@ -77,7 +80,7 @@ def test_basis_of_many_generators_needs_no_recursion():
     gens = GeneratorSet([(f"x{i}", 2) for i in range(1500)])
     monos = basis(gens, 2)
     assert len(monos) == 1500
-    assert monos[0] == (1,) and monos[-1] == (0,) * 1499 + (1,)
+    assert monos[0] == (0,) and monos[-1] == (1499,)
     with pytest.raises(BasisTooLarge) as info:
         basis(gens, 4, guard=1000)
     assert (info.value.degree, info.value.limit) == (4, 1000)
@@ -115,7 +118,40 @@ def test_basis_mixed_degree_five_counts():
     # all x_i * v products and nothing else.
     assert len(monos) == 3 * 5
     for m in monos:
-        assert sum(m[:3]) == 1 and sum(m[3:]) == 1
+        assert len(m) == 2 and m[0] < 3 <= m[1]
+
+
+def test_word_basis_and_products_match_the_dense_reference():
+    """Word bases come in the dense graded-lex order; products keep their signs.
+
+    Some generator sets have unsorted degrees, as a hand-written set may.
+    Sorting the words ascending must also give the order of the dense
+    vectors sorted descending, the order the output formats rely on.
+    """
+    rng = random.Random(8)
+    for trial in range(400):
+        degs = [rng.randint(2, 7) for _ in range(rng.randint(1, 7))]
+        if trial % 2:
+            degs.sort()
+        gens = GeneratorSet([(f"g{i}", d) for i, d in enumerate(degs)])
+        bases = {}
+        for degree in range(0, 13):
+            dense = dense_basis(gens, degree)
+            words = basis(gens, degree)
+            assert words == [to_word(m) for m in dense]
+            assert sorted(words) == [to_word(m) for m in sorted(dense, reverse=True)]
+            bases[degree] = list(zip(dense, words))
+        for _ in range(20):
+            da, db = rng.randint(2, 8), rng.randint(2, 8)
+            if not bases[da] or not bases[db]:
+                continue
+            (ma, wa), (mb, wb) = rng.choice(bases[da]), rng.choice(bases[db])
+            want = dense_mono_mul(gens, ma, mb)
+            got = mono_mul(gens, wa, wb)
+            if want is None:
+                assert got is None
+            else:
+                assert got == (want[0], to_word(want[1]))
 
 
 def test_basis_odd_total_degree_of_even_generators_is_empty():
@@ -138,7 +174,7 @@ def test_basis_guard_limit():
 
 def test_basis_odd_generators_square_free():
     gens = GeneratorSet([("a", 3), ("b", 3)])
-    assert basis(gens, 6) == [(1, 1)]
+    assert basis(gens, 6) == [(0, 1)]
     assert basis(gens, 9) == []
 
 
@@ -197,9 +233,30 @@ def test_ring_axioms_on_random_samples():
 def test_poly_rejects_inhomogeneous_terms():
     gens = GeneratorSet([("x", 2), ("v", 3)])
     with pytest.raises(ValueError):
-        Poly.from_terms(gens, {(1,): 1, (0, 1): 1})
-    with pytest.raises(ValueError):
-        Poly.from_terms(gens, {(0, 2): 1})  # odd square
+        Poly.from_terms(gens, {(0,): 1, (1,): 1})
+
+
+def test_poly_rejects_unsorted_word():
+    gens = GeneratorSet([("x", 2), ("y", 2)])
+    assert Poly.from_terms(gens, {(0, 1): 1}).degree == 4
+    with pytest.raises(ValueError, match="must ascend"):
+        Poly.from_terms(gens, {(1, 0): 1})
+    with pytest.raises(ValueError, match="must ascend"):
+        Poly.monomial(gens, (1, 0))
+
+
+def test_poly_rejects_repeated_odd_index():
+    gens = GeneratorSet([("x", 2), ("v", 3)])
+    assert Poly.from_terms(gens, {(0, 0, 1): 1}).degree == 7
+    with pytest.raises(ValueError, match="odd ones once"):
+        Poly.from_terms(gens, {(1, 1): 1})  # v^2
+
+
+@pytest.mark.parametrize("index", [2, -1])
+def test_poly_rejects_out_of_range_index(index):
+    gens = GeneratorSet([("x", 2), ("v", 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        Poly.from_terms(gens, {(index,): 1})
 
 
 # ---------------------------------------------------------------- derivations
@@ -220,8 +277,8 @@ def test_single_relation_model_matrix():
     x3 = mul(gens, x, mul(gens, x, x))
     d = Derivation(gens, {"u": x3})
     # Degree 5 is spanned by u alone; it maps onto x^3.
-    assert basis(gens, 5) == [(0, 1)]
-    assert d.apply_mono((0, 1)) == x3
+    assert basis(gens, 5) == [(1,)]
+    assert d.apply_mono((1,)) == x3
 
 
 def test_derivation_image_degree_is_checked():

@@ -77,6 +77,9 @@ DEEP_GOLDEN = {
     # widest differentials that still run in under a second.
     (3, (3, 0), 9): "06ab08e02076014333f44fbb7abd82143b454c08fad0c5144076122928dff8e7",
     (6, (6, 0), 6): "4b9655c8242580b128397f2dcd3561e57ecf34a9d73f0aaad32f28c157053dbc",
+    # Recorded with dense exponent-vector monomials: K3 through degree 4 has
+    # the longest of them, up to 3794 entries.
+    (22, (3, 19), 4): "9cc58b83b133c1f8456b64b368a3fcfc53cc58e31f52907bf24de7e5c86b65ac",
 }
 
 
@@ -90,3 +93,25 @@ def test_deep_model_json_is_byte_identical(capsys, cell):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DEEP_GOLDEN[cell]
+
+
+# (b2, (b2+, b2-), D) -> sha256 of stdout of the text format,
+# `model --b2 B2 --split P,Q --max-degree D`, which prints each differential
+# through gca.format_poly.  Recorded with dense exponent-vector monomials.
+TEXT_GOLDEN = {
+    (3, (1, 2), 7): "c0ac3d02e38f9d735ed5b31cd065668f2f0d18a169763941b56419b8c8989d66",
+    (1, (0, 1), 9): "731e60c4e7c0070b5d6b45fb6cfffb7a2158b07322085dbdb8992c0b2d066eee",
+    (22, (3, 19), 3): "70dbd5f5e02f2c00e34cddc1a4ae4c02f06982166fa7e4d72ecd61bb34748550",
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(TEXT_GOLDEN), ids=lambda c: f"b2={c[0]}:{c[1][0]},{c[1][1]}:D={c[2]}"
+)
+def test_model_text_is_byte_identical(capsys, cell):
+    b2, (plus, minus), max_degree = cell
+    argv = ["model", "--b2", str(b2), "--split", f"{plus},{minus}",
+            "--max-degree", str(max_degree)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_GOLDEN[cell]
