@@ -49,8 +49,6 @@ from .linalg import (
     QMatrix,
     Subspace,
     complement_in,
-    kernel_basis,
-    rref,
 )
 from .sullivan import (
     MinimalModelStage,
@@ -108,12 +106,10 @@ __all__ = [
     "hypersurface_b2",
     "init_stage",
     "k3_form",
-    "kernel_basis",
     "loop_space_ranks",
     "make_form",
     "mul",
     "rationally_equivalent",
-    "rref",
     "stage_cohomology",
     "verify_stage",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import groupby
 
@@ -32,7 +33,7 @@ from .forms import (
     make_form,
     rationally_equivalent,
 )
-from .gca import DEFAULT_GUARD, BasisTooLarge, Poly, format_poly
+from .gca import DEFAULT_GUARD, BasisTooLarge, format_poly
 from .linalg import NotSymmetric
 from .sullivan import MinimalModelStage, build, verify_stage
 
@@ -228,33 +229,47 @@ def cmd_ranks(args) -> int:
 # ------------------------------------------------------------------- model
 
 
-def _poly_json(stage: MinimalModelStage, poly: Poly) -> list:
-    gens = stage.gens
-    out = []
-    for mono in sorted(poly.terms):
-        coeff = poly.terms[mono]
-        out.append(
-            {
-                "coeff": str(coeff),
-                "monomial": [[gens[i].name, len(list(run))] for i, run in groupby(mono)],
-            }
-        )
-    return out
+def _json_block(brackets: str, items: list, depth: int) -> str:
+    """`items` in `brackets` at nesting `depth`, laid out as `json.dumps(indent=2)` does."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> dict:
-    return {
-        "generators": [
-            {
-                "name": g.name,
-                "degree": g.degree,
-                "differential": _poly_json(stage, stage.diff.image(i)),
-            }
-            for i, g in enumerate(stage.gens)
-        ],
-        "ranks": {str(r): v for r, v in table.ranks.items()},
-        "meta": meta,
-    }
+def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> str:
+    """The model's JSON text, byte for byte `json.dumps(doc, indent=2, sort_keys=True)`.
+
+    Rendered directly, since with `indent` set `json` falls back to its
+    pure-Python encoder.  Each [name, exponent] factor is rendered once and
+    reused; string leaves go through `json.dumps` (the C string encoder).
+    """
+    names = [json.dumps(g.name) for g in stage.gens]
+    factors: dict = {}  # (generator, exponent) -> rendered factor
+    # One template for every term: its monomial is never empty (degree >= 3).
+    term = _json_block("{}", ['"coeff": %s', '"monomial": ' + _json_block("[]", ["%s"], 5)], 4)
+    comma = ",\n" + "  " * 6
+    generators = []
+    for i, g in enumerate(stage.gens):
+        terms = []
+        for mono, coeff in sorted(stage.diff.image(i).terms.items()):
+            monomial = []
+            for j, run in groupby(mono):
+                key = (j, len(list(run)))
+                if key not in factors:
+                    factors[key] = _json_block("[]", [names[j], str(key[1])], 6)
+                monomial.append(factors[key])
+            terms.append(term % (json.dumps(str(coeff)), comma.join(monomial)))
+        differential = _json_block("[]", terms, 3)
+        generators.append(_json_block("{}", [
+            f'"degree": {g.degree}', f'"differential": {differential}', f'"name": {names[i]}'
+        ], 2))
+    fields = {"generators": _json_block("[]", generators, 1)}
+    ranks = {str(r): v for r, v in table.ranks.items()}
+    for key, doc in (("meta", meta), ("ranks", ranks)):  # flat dicts of ints
+        pairs = [f"{json.dumps(k)}: {v}" for k, v in sorted(doc.items())]
+        fields[key] = _json_block("{}", pairs, 1)
+    return _json_block("{}", [f"{json.dumps(k)}: {v}" for k, v in fields.items()], 0)
 
 
 def cmd_model(args) -> int:
@@ -265,7 +280,7 @@ def cmd_model(args) -> int:
     )
     meta = _meta(b2, plus, minus, args.max_degree)
     if args.format == "json":
-        _emit_json(model_document(stage, table, meta))
+        print(model_document(stage, table, meta))
     else:
         print(
             f"minimal model of {label} (split {plus},{minus}, sigma {plus - minus}) "
@@ -501,21 +516,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BasisTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.partial_ranks is not None and exc.partial_ranks.ranks:
-            ranks = ", ".join(
-                f"{r}:{v}" for r, v in sorted(exc.partial_ranks.ranks.items())
-            )
-            print(f"partial ranks before the guard tripped: {{{ranks}}}")
-        return EXIT_GUARD
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except BasisTooLarge as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            partial = exc.partial_ranks.ranks if exc.partial_ranks is not None else {}
+            if partial:
+                ranks = ", ".join(f"{r}:{v}" for r, v in sorted(partial.items()))
+                print(f"partial ranks before the guard tripped: {{{ranks}}}")
+            return EXIT_GUARD
+        finally:
+            if sys.stdout is not None:  # None when started with stdout closed
+                sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout (`| head`): it chose to stop
+        # Point stdout at devnull, so that the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ membership all go through it.  Reduced echelon bases are unique, so results
 depend only on the column order, never on the row order.  A kernel takes one
 elimination, of its system with the columns reversed: the kernel vectors read
 off that form are already in reduced echelon form in the original order
-(`kernel_from_reduced`).  Dense tuples
-appear only at the public boundary (`QMatrix`, `rref`, `kernel_basis`,
-`Subspace.basis`); functions taking rows accept sparse or dense ones.
+(`kernel_from_reduced`).  Dense tuples appear only at the public boundary
+(`QMatrix`, `Subspace.basis`); functions taking rows accept sparse or dense
+ones.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ __all__ = [
     "NotContained",
     "QMatrix",
     "Subspace",
-    "rref",
     "row_reduce",
-    "kernel_basis",
     "kernel_basis_from_rows",
     "kernel_from_reduced",
     "complement_in",
@@ -207,17 +205,6 @@ def row_reduce(rows: Sequence, ncols: int) -> tuple[list[dict], list[int]]:
     return list(echelon.values()), list(echelon)
 
 
-def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form of a matrix.
-
-    Returns (R, pivot columns, rank); R is the unique RREF of the input.
-    """
-    reduced, pivots = row_reduce(matrix.entries, matrix.cols)
-    entries = [_dense(r, matrix.cols) for r in reduced]
-    entries += [(_ZERO,) * matrix.cols] * (matrix.rows - len(entries))
-    return QMatrix(matrix.rows, matrix.cols, tuple(entries)), tuple(pivots), len(pivots)
-
-
 class Subspace:
     """Subspace of Q^n stored by its unique reduced echelon basis.
 
@@ -306,11 +293,6 @@ def kernel_from_reduced(
             if f != p:
                 vectors[last - f][last - p] = -x
     return Subspace._echelon(ncols, vectors)
-
-
-def kernel_basis(matrix: QMatrix) -> Subspace:
-    """Basis of {v : Mv = 0} with dim = cols - rank."""
-    return kernel_basis_from_rows(matrix.entries, matrix.cols)
 
 
 def complement_in(sub: Subspace, within: Subspace) -> Subspace:

@@ -1,14 +1,23 @@
-"""Dense `Fraction` references for the integer routines of the package.
+"""Dense `Fraction` references and matrix wrappers for the tests.
 
 `make_form` reads rank, signature and determinant off a fraction-free
 integer elimination (`forms._inertia`).  The tests compare it with these
 plain rational sweeps: a congruence diagonalization that also returns the
 change of basis, and a Gaussian-elimination determinant.
+
+The package eliminates sparse rows only; `rref` and `kernel_basis` wrap
+`row_reduce` and `kernel_basis_from_rows` for dense `QMatrix` inputs.
 """
 
 from fractions import Fraction
 
-from fourfold.linalg import NotSymmetric, QMatrix
+from fourfold.linalg import (
+    NotSymmetric,
+    QMatrix,
+    Subspace,
+    kernel_basis_from_rows,
+    row_reduce,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -93,3 +102,19 @@ def determinant(matrix: QMatrix) -> Fraction:
                     if prow[j]:
                         row[j] -= f * prow[j]
     return det
+
+
+def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
+    """Reduced row echelon form of a matrix.
+
+    Returns (R, pivot columns, rank); R is the unique RREF of the input.
+    """
+    reduced, pivots = row_reduce(matrix.entries, matrix.cols)
+    entries = [tuple(r.get(j, _ZERO) for j in range(matrix.cols)) for r in reduced]
+    entries += [(_ZERO,) * matrix.cols] * (matrix.rows - len(entries))
+    return QMatrix(matrix.rows, matrix.cols, tuple(entries)), tuple(pivots), len(pivots)
+
+
+def kernel_basis(matrix: QMatrix) -> Subspace:
+    """Basis of {v : Mv = 0} with dim = cols - rank."""
+    return kernel_basis_from_rows(matrix.entries, matrix.cols)

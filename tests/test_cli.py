@@ -1,16 +1,25 @@
+import hashlib
 import json
+import os
+import random
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fourfold import cli, sullivan
 from fourfold.cli import main
-from fourfold.forms import RankTable
+from fourfold.forms import RankTable, algebra_from_split
 from fourfold.gca import Derivation, Poly, mul
 from fourfold.sullivan import MinimalModelStage, build
+
+import json_reference
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -165,6 +174,54 @@ def test_model_json_document(capsys):
         {"coeff": "1", "monomial": [["x1", 2]]},
         {"coeff": "1", "monomial": [["x2", 2]]},
     ]
+
+
+# (b2, (b2+, b2-), D): every split at D=5; b2=0 at D=3, with no generators;
+# b2=1 at D=9, where d v5 = x^3 has an exponent-3 factor; b2=3 split 1,2 at
+# D=7, whose differentials have coefficients -1/2 and 1/2.
+REFERENCE_CELLS = (
+    [(b2, (p, b2 - p), 5) for b2 in range(7) for p in range(b2 + 1)]
+    + [(0, (0, 0), 3), (1, (1, 0), 9), (1, (0, 1), 9), (3, (1, 2), 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "cell", REFERENCE_CELLS, ids=lambda c: f"b2={c[0]}:{c[1][0]},{c[1][1]}:D={c[2]}"
+)
+def test_model_json_matches_the_reference_encoder(cell):
+    b2, (plus, minus), max_degree = cell
+    stage, table, _ = build(algebra_from_split(plus, minus), max_degree)
+    meta = cli._meta(b2, plus, minus, max_degree)
+    text = cli.model_document(stage, table, meta)
+    assert text == json_reference.model_text(stage, table, meta)
+
+
+def test_model_json_matches_the_reference_on_random_rational_coefficients():
+    # Each differential scaled by a seeded random p/q: multi-digit, negative
+    # and non-integer coefficients in every term.
+    rng = random.Random(9)
+    stage, table, _ = build(algebra_from_split(1, 2), 7)
+    images = [
+        image.scaled(Fraction(rng.randint(-999, 999) or 1, rng.randint(1, 999)))
+        for image in stage.diff.images
+    ]
+    scaled = MinimalModelStage(
+        stage.algebra, stage.gens, Derivation(stage.gens, images), stage.qm, stage.k
+    )
+    meta = cli._meta(3, 1, 2, 7)
+    text = cli.model_document(scaled, table, meta)
+    assert "/" in text
+    assert text == json_reference.model_text(scaled, table, meta)
+
+
+def test_model_json_never_runs_the_pure_python_encoder(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code, out, _ = run(capsys, "model", "--b2", "6", "--split", "3,3", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(6, 3, 3)]
 
 
 # ----------------------------------------------------------------- classify
@@ -438,6 +495,36 @@ def test_output_is_deterministic_across_runs(capsys):
     third = run(capsys, "ranks", "--b2", "6", "--engine")
     fourth = run(capsys, "ranks", "--b2", "6", "--engine")
     assert third == fourth
+
+
+# ------------------------------------------------------- closed stdout
+
+
+# (argv, bytes read before the reader closes the pipe).  The model document
+# is over 256 KiB, more than a pipe holds, so its writer is still writing.
+CLOSED_STDOUT = [
+    (["model", "--b2", "6", "--max-degree", "5", "--format", "json"], 10),
+    (["verify", "--b2", "2", "--all-splits"], 0),
+    (["ranks", "--b2", "4", "--engine"], 0),
+    (["examples", "k3"], 0),
+    (["classify", "k3", "sum:3,19"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, nread", CLOSED_STDOUT, ids=[a[0] for a, _ in CLOSED_STDOUT])
+def test_closed_stdout_exits_zero_without_a_traceback(argv, nread):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fourfold", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(nread)) == nread
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 # ------------------------------------------------------------------- README

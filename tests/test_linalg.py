@@ -12,12 +12,10 @@ from fourfold.linalg import (
     QMatrix,
     Subspace,
     complement_in,
-    kernel_basis,
     kernel_basis_from_rows,
-    rref,
 )
 from fourfold.sullivan import build
-from fraction_reference import congruence_diagonalize, determinant
+from fraction_reference import congruence_diagonalize, determinant, kernel_basis, rref
 
 F = Fraction
 

@@ -14,7 +14,7 @@ from fourfold.gca import (
     basis,
     mul,
 )
-from fourfold.linalg import QMatrix, Subspace, kernel_basis
+from fourfold.linalg import QMatrix, Subspace
 from fourfold.sullivan import (
     MinimalModelStage,
     NotSimplyConnected,
@@ -25,6 +25,7 @@ from fourfold.sullivan import (
     stage_cohomology,
     verify_stage,
 )
+from fraction_reference import kernel_basis
 
 F = Fraction
 
