@@ -34,7 +34,6 @@ from .forms import (
     rationally_equivalent,
 )
 from .gca import DEFAULT_GUARD, BasisTooLarge, format_poly
-from .linalg import NotSymmetric
 from .sullivan import MinimalModelStage, build, verify_stage
 
 EXIT_OK = 0
@@ -77,7 +76,7 @@ def _load_form_file(path: str) -> tuple[IntersectionForm, str]:
         raise InputError(f"form file {path}: matrix must be a list of rows")
     try:
         form = make_form(matrix)
-    except (ValueError, NotSymmetric) as exc:
+    except ValueError as exc:
         raise InputError(f"form file {path}: {exc}") from exc
     label = doc.get("name") if isinstance(doc.get("name"), str) else path
     return form, label
@@ -106,13 +105,14 @@ def _resolve_form_source(text: str) -> tuple[IntersectionForm, str]:
     return _load_form_file(text)
 
 
-def _parse_split(text: str) -> tuple[int, int]:
+def _parse_split(text: str, source: str) -> tuple[int, int]:
+    """P,Q from `text`; errors name `source`, the option or argument it came from."""
     try:
         p, q = (int(x) for x in text.split(","))
     except ValueError as exc:
-        raise InputError(f"--split expects P,Q integers, got {text!r}") from exc
+        raise InputError(f"{source} expects P,Q integers, got {text!r}") from exc
     if p < 0 or q < 0:
-        raise InputError("--split entries must be nonnegative")
+        raise InputError(f"{source} entries must be nonnegative")
     return p, q
 
 
@@ -130,7 +130,7 @@ def _resolve_source(args) -> tuple[str, int, int, int]:
     if args.b2 < 0:
         raise InputError("--b2 must be nonnegative")
     if args.split is not None:
-        plus, minus = _parse_split(args.split)
+        plus, minus = _parse_split(args.split, "--split")
         if plus + minus != args.b2:
             raise InputError(f"--split {args.split} does not add up to b2={args.b2}")
     else:
@@ -382,7 +382,7 @@ def cmd_examples(args) -> int:
     elif which == "connected-sum":
         if params is None:
             raise InputError("connected-sum needs p,q, e.g. `examples connected-sum 2,1`")
-        p, q = _parse_split(params)
+        p, q = _parse_split(params, "connected-sum")
         b2 = p + q
         label = f"#{p} CP^2 # {q} CP^2-bar (b2={b2})"
         split = (p, q)

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import NotSymmetric
-
 __all__ = [
+    "NotSymmetric",
     "NotUnimodular",
     "IntersectionForm",
     "CohomologyAlgebra",
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+
+
+class NotSymmetric(ValueError):
+    """A symmetric matrix was required."""
 
 
 class NotUnimodular(ValueError):
@@ -272,9 +275,6 @@ class RankTable:
         if degree in self.ranks:
             return self.ranks[degree]
         return 0 if self.finite_tail else None
-
-    def known_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ranks))
 
 
 def closed_form_ranks(b2: int, max_degree: int = 7) -> RankTable:

@@ -142,9 +142,6 @@ class GeneratorSet:
         degs = self._degrees
         return sum(degs[i] for i in mono)
 
-    def generators_of_degree(self, degree: int) -> list:
-        return [g for g in self.generators if g.degree == degree]
-
 
 def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
     """All monomials of the given total degree, in graded-lex order."""
@@ -250,15 +247,8 @@ class Poly:
     def monomial(gens: GeneratorSet, mono: Mono, coeff=1) -> "Poly":
         return Poly.from_terms(gens, {mono: coeff})
 
-    @staticmethod
-    def generator(gens: GeneratorSet, name: str, coeff=1) -> "Poly":
-        return Poly.monomial(gens, (gens.index(name),), coeff)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, _ZERO)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -355,9 +345,6 @@ class Derivation:
 
     def image(self, i: int) -> Poly:
         return self.images[i]
-
-    def image_of(self, name: str) -> Poly:
-        return self.images[self.gens.index(name)]
 
     def extended(self, gens: GeneratorSet, new_images: Sequence[Poly]) -> "Derivation":
         return Derivation(gens, list(self.images) + list(new_images))

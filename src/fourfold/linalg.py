@@ -11,9 +11,10 @@ membership all go through it.  Reduced echelon bases are unique, so results
 depend only on the column order, never on the row order.  A kernel takes one
 elimination, of its system with the columns reversed: the kernel vectors read
 off that form are already in reduced echelon form in the original order
-(`kernel_from_reduced`).  Dense tuples appear only at the public boundary
-(`QMatrix`, `Subspace.basis`); functions taking rows accept sparse or dense
-ones.
+(`kernel_from_reduced`).  Functions taking rows accept sparse or dense ones,
+and `Subspace.basis` gives dense tuples.  `QMatrix`, a dense matrix with a
+transpose and a product, is used by no other module of the package; the
+acceptance suite builds unimodular congruences U^T S U with it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 __all__ = [
-    "NotSymmetric",
     "NotContained",
     "QMatrix",
     "Subspace",
@@ -36,10 +36,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class NotSymmetric(ValueError):
-    """A symmetric matrix was required."""
 
 
 class NotContained(ValueError):
@@ -74,24 +70,6 @@ class QMatrix:
             cols = len(data[0]) if data else 0
         return QMatrix(len(data), cols, data)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "QMatrix":
-        row = (_ZERO,) * cols
-        return QMatrix(rows, cols, tuple(row for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix(
-            n,
-            n,
-            tuple(
-                tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-            ),
-        )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def transpose(self) -> "QMatrix":
         return QMatrix(
             self.cols,
@@ -118,16 +96,15 @@ class QMatrix:
             out.append(tuple(acc))
         return QMatrix(self.rows, other.cols, tuple(out))
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
-
 
 def _sparse(vector, ncols: int) -> dict:
-    """A fresh sparse copy of a row given as a dict or a dense sequence."""
+    """A fresh sparse copy, without zeros, of a row given as a dict or a dense sequence."""
     if isinstance(vector, dict):
-        if vector and max(vector) >= ncols:
+        if vector and (min(vector) < 0 or max(vector) >= ncols):
             raise ValueError("row has a column beyond the ambient dimension")
-        return dict(vector)
+        if all(vector.values()):
+            return dict(vector)
+        return {j: x for j, x in vector.items() if x}
     if len(vector) != ncols:
         raise ValueError("row length mismatch")
     return {j: x for j, x in enumerate(_fraction_row(vector)) if x}
@@ -210,39 +187,28 @@ class Subspace:
 
     `rows` maps each pivot column, in ascending order, to a sparse basis row
     with entry 1 there and zeros in the other pivot columns, so equal
-    subspaces compare equal.
+    subspaces compare equal.  The constructor takes such a dict as it is;
+    `from_vectors` reduces any spanning rows to one.
     """
 
     __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis: Sequence = ()):
-        """The span of an echelon basis: strictly increasing leading columns."""
-        rows = [_sparse(v, ambient_dim) for v in basis]
-        leads = [min(r, default=-1) for r in rows]
-        if any(b <= a for a, b in zip([-1] + leads, leads)):
-            raise ValueError("basis is not in echelon form")
+    def __init__(self, ambient_dim: int, rows: dict):
         self.ambient_dim = ambient_dim
-        self.rows = _eliminate(rows)
-
-    @staticmethod
-    def _echelon(ambient_dim: int, rows: dict) -> "Subspace":
-        out = Subspace.__new__(Subspace)
-        out.ambient_dim = ambient_dim
-        out.rows = rows
-        return out
+        self.rows = rows
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence) -> "Subspace":
         rows = _eliminate([_sparse(v, ambient_dim) for v in vectors])
-        return Subspace._echelon(ambient_dim, rows)
+        return Subspace(ambient_dim, rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace._echelon(ambient_dim, {})
+        return Subspace(ambient_dim, {})
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace._echelon(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
+        return Subspace(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -252,9 +218,6 @@ class Subspace:
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basis rows as dense tuples."""
         return tuple(_dense(r, self.ambient_dim) for r in self.rows.values())
-
-    def contains(self, vector) -> bool:
-        return not _reduce(_sparse(vector, self.ambient_dim), self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -292,7 +255,7 @@ def kernel_from_reduced(
         for f, x in row.items():
             if f != p:
                 vectors[last - f][last - p] = -x
-    return Subspace._echelon(ncols, vectors)
+    return Subspace(ncols, vectors)
 
 
 def complement_in(sub: Subspace, within: Subspace) -> Subspace:
@@ -310,4 +273,4 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
         if _reduce(dict(row), within.rows):
             raise NotContained("subspace is not contained in the ambient one")
     kept = {p: row for p, row in within.rows.items() if p not in sub.rows}
-    return Subspace._echelon(sub.ambient_dim, kept)
+    return Subspace(sub.ambient_dim, kept)

@@ -11,8 +11,8 @@ The package eliminates sparse rows only; `rref` and `kernel_basis` wrap
 
 from fractions import Fraction
 
+from fourfold.forms import NotSymmetric
 from fourfold.linalg import (
-    NotSymmetric,
     QMatrix,
     Subspace,
     kernel_basis_from_rows,

@@ -365,6 +365,22 @@ def test_examples_k3_takes_no_parameter(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("examples", "connected-sum", "2"), "connected-sum expects P,Q integers, got '2'"),
+        (("examples", "connected-sum", "2,-1"), "connected-sum entries must be nonnegative"),
+        (("model", "--b2", "2", "--split", "2"), "--split expects P,Q integers, got '2'"),
+        (("ranks", "--b2", "2", "--split", "3,-1"), "--split entries must be nonnegative"),
+    ],
+)
+def test_split_errors_name_the_argument_given(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("ranks", "--b2", "3", "--engine", "--max-degree", "1"),
@@ -459,7 +475,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         # the fundamental class instead of zero
         stage, table, reports = build(algebra, max_degree, guard=guard)
         gens = stage.gens
-        x1 = Poly.generator(gens, "x1")
+        x1 = Poly.monomial(gens, (gens.index("x1"),))
         images = list(stage.diff.images)
         images[gens.index("v3_1")] = mul(gens, x1, x1)
         broken = MinimalModelStage(
@@ -530,8 +546,11 @@ def test_closed_stdout_exits_zero_without_a_traceback(argv, nread):
 # ------------------------------------------------------------------- README
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = re.search(r"```\n(.*?)```", readme.split("## Command line", 1)[1], re.S)
     commands = [
         shlex.split(line, comments=True)[1:]
@@ -547,3 +566,10 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_library_block_runs():
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    assert "from fourfold import" in block.group(1)
+    exec(compile(block.group(1), str(README), "exec"), {})
