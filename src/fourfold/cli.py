@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from itertools import groupby
 
@@ -445,6 +446,14 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative P,Q pair such as -1,3 as a value, as argparse reads -1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
+
+
 def _add_source_options(sub) -> None:
     sub.add_argument("--b2", type=int, default=None, help="second Betti number")
     sub.add_argument(
@@ -468,7 +477,7 @@ def _add_engine_options(sub, default_degree: int = 5) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fourfold",
         description=(
             "Ranks of rational homotopy groups of closed oriented simply "

@@ -4,7 +4,7 @@ An intersection form is a symmetric unimodular integer matrix; rank,
 signature and determinant are computed exactly, in integers, by
 fraction-free symmetric elimination.  From the form we present the rational
 cohomology algebra by its diagonalized pairing (degrees 0, 2 and 4, zero
-differential), evaluate the closed-form homotopy rank tables, and classify
+differential), take the homotopy ranks from one divisor sum, and classify
 rational homotopy type by rank and signature.  A small catalog covers the
 classical examples: complex projective hypersurfaces, complete
 intersections, the K3 surface and connected sums of projective planes.
@@ -280,29 +280,19 @@ class RankTable:
 def closed_form_ranks(b2: int, max_degree: int = 7) -> RankTable:
     """Ranks of the rational homotopy groups as functions of b2 alone.
 
-    Ranks 0..2 are rationally elliptic with a full table; above rank 2 the
-    homotopy is infinite-dimensional and only degrees up to 4 (plus degree 5
-    at rank 3) admit closed forms, so higher degrees are left unknown.
+    Ranks 0 to 2 are rationally elliptic, with a full table.  For b2 >= 2 the
+    table lists the nonzero `loop_space_ranks` up to degree 4 (5 at rank 3);
+    above rank 2 it is infinite-dimensional and higher degrees are unknown.
     """
     if b2 < 0:
         raise ValueError("b2 must be nonnegative")
-    if b2 == 0:
-        entries, tail = {4: 1, 7: 1}, True
-    elif b2 == 1:
-        entries, tail = {2: 1, 5: 1}, True
-    elif b2 == 2:
-        entries, tail = {2: 2, 3: 2}, True
+    if b2 <= 1:
+        entries = {4: 1, 7: 1} if b2 == 0 else {2: 1, 5: 1}
     else:
-        entries = {
-            2: b2,
-            3: b2 * (b2 + 1) // 2 - 1,
-            4: b2 * (b2 * b2 - 4) // 3,
-        }
-        if b2 == 3:
-            entries[5] = 10
-        tail = False
+        ranks = loop_space_ranks(b2, 5 if b2 == 3 else 4)
+        entries = {r: v for r, v in ranks.items() if v}
     entries = {r: v for r, v in entries.items() if r <= max_degree}
-    return RankTable(entries, tail)
+    return RankTable(entries, b2 <= 2)
 
 
 def loop_space_ranks(b2: int, max_degree: int) -> dict[int, int]:
@@ -310,37 +300,29 @@ def loop_space_ranks(b2: int, max_degree: int) -> dict[int, int]:
 
     For b2 >= 2 the top cell is attached by an inert map (Halperin-Lemaire,
     Math. Scand. 1987), so H_*(Omega M; Q) has Poincare series
-    1 / (1 - b2 t + t^2).  By Milnor-Moore and Poincare-Birkhoff-Witt
-    (Felix-Halperin-Thomas, Rational Homotopy Theory, section 33) the same
-    series is prod_{i odd} (1 + t^i)^r_{i+1} / prod_{i even} (1 - t^i)^r_{i+1}
-    with r_k = rk pi_k.  The factor for i begins 1 + r_{i+1} t^i, so r_{i+1}
-    is the series coefficient of t^i less that of the factors below i.  For
-    b2 <= 1 the manifold is rationally S^4 or CP^2 and the elliptic tables
-    apply.  Integer arithmetic throughout.
+    1 / (1 - b2 t + t^2) = 1 / ((1 - alpha t)(1 - beta t)).  By Milnor-Moore
+    and Poincare-Birkhoff-Witt (Felix-Halperin-Thomas, section 33) that is
+    prod_{i odd} (1 + t^i)^r_{i+1} / prod_{i even} (1 - t^i)^r_{i+1}, r_k =
+    rk pi_k.  With a_d = (-1)^d r_{d+1} and the Lucas numbers V_n = alpha^n +
+    beta^n = b2 V_{n-1} - V_{n-2} (V_0 = 2, V_1 = b2), n times the t^n terms of
+    the logarithms read sum_{d | n} d a_d = (-1)^n V_n, solved for a_n here.
+    Moebius inversion gives rk pi_{n+1} = ((-1)^{n+1} / n) sum_{d | n}
+    mu(n/d) (-1)^{d+1} V_d, whose cases n = 2, 3 are b2 (b2 + 1) / 2 - 1 and
+    b2 (b2^2 - 4) / 3.  For b2 <= 1 (S^4, CP^2) the elliptic tables apply.
     """
     if b2 <= 1:
         table = closed_form_ranks(b2, max_degree)
         return {r: table.rank(r) for r in range(2, max_degree + 1)}
-    top = max_degree - 1
-    series = [1, b2]
-    while len(series) <= top:
-        series.append(b2 * series[-1] - series[-2])
-    product = [1] + [0] * top  # factors below i, truncated after t^top
+    lucas, prev = b2, 2  # V_n and V_{n-1}
+    below = [0] * max_degree  # below[n]: sum of d a_d over the divisors d < n of n
     ranks = {}
-    for i in range(1, top + 1):
-        rank = series[i] - product[i]
-        ranks[i + 1] = rank
-        if not rank:
-            continue
-        # times (1 + t^i)^rank for odd i, (1 - t^i)^-rank for even i
-        factor = [
-            math.comb(rank, k) if i % 2 else math.comb(rank + k - 1, k)
-            for k in range(top // i + 1)
-        ]
-        product = [
-            sum(factor[k] * product[m - k * i] for k in range(m // i + 1))
-            for m in range(top + 1)
-        ]
+    for n in range(1, max_degree):
+        sign = -1 if n % 2 else 1
+        a = (sign * lucas - below[n]) // n  # exact: a_n is an integer
+        for m in range(2 * n, max_degree, n):
+            below[m] += n * a
+        ranks[n + 1] = sign * a
+        lucas, prev = b2 * lucas - prev, lucas
     return ranks
 
 

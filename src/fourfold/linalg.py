@@ -206,10 +206,6 @@ class Subspace:
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, {})
 
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -227,7 +223,7 @@ class Subspace:
         )
 
     def __repr__(self) -> str:
-        return f"Subspace({self.ambient_dim}, {self.basis})"
+        return f"Subspace({self.ambient_dim}, {self.rows!r})"
 
 
 def kernel_basis_from_rows(rows: Sequence, ncols: int) -> Subspace:

@@ -16,7 +16,7 @@ chain_map check re-checks every generator.  The number of generators
 adjoined in degree r is the rank of the r-th rational homotopy group.
 verify_stage() checks those counts in every degree against ranks that do not
 come from the engine: the loop-space series of the manifold
-(forms.loop_space_ranks).
+(forms.loop_space_ranks, a divisor sum over Lucas numbers).
 
 Target vectors are sparse rows (basis index -> nonzero coefficient), as in
 the linear algebra layer.  The only product the stage map needs is the
@@ -255,8 +255,8 @@ def extend_stage(
     low = _diff_data(stage, k + 1, guard)
     high = _diff_data(stage, k + 2, guard)
 
-    # Closed generators: a complement of the image of the stage map inside
-    # the degree-(k+1) part of the target.
+    # Closed generators: the unit vectors at the non-pivot columns of the image
+    # of the stage map, a complement of it in the degree-(k+1) target.
     target_dim = algebra.dim(k + 1)
     if target_dim:
         image_vectors = [
@@ -264,7 +264,7 @@ def extend_stage(
             for z in low.kernel.rows.values()
         ]
         reached = Subspace.from_vectors(target_dim, image_vectors)
-        y_images = list(complement_in(reached, Subspace.full(target_dim)).rows.values())
+        y_images = [{p: _ONE} for p in range(target_dim) if p not in reached.rows]
     else:
         y_images = []
 

@@ -97,6 +97,83 @@ def test_ranks_json_round_trip(capsys):
     assert doc["engine"] is None
 
 
+# sha256 of the stdout of each command, recorded before the closed forms were
+# derived from the divisor-sum formula; every byte must stay the same.
+RANKS_DIGESTS = {
+    "ranks --b2 0": "b6c9788598915fb06486f88af35dcedfc75be56afb7475861d0367a31666304c",
+    "ranks --b2 0 --format json": "09264b89c63f86b1f5e1c1407e0baed04efffee2ce3e439c54014da5ac45da7d",
+    "ranks --b2 1": "0dc1eae5f47df7417e821bff773e188c1136af85f4394658d79c21163f43a33a",
+    "ranks --b2 1 --format json": "774507fa1b56062f560684f8682fb6a259c918970a84bd94b5a4baff67de8ba0",
+    "ranks --b2 2": "fe4a8e2cde6ab5c46689bf740b26e68345b708f100febe7cd431bb5cb0240e4e",
+    "ranks --b2 2 --format json": "c99660eca7684488f3cecbaed837187a5874754ff5ce29d5089536d9c1d868b5",
+    "ranks --b2 3": "c190b1ad00b29506831a350f0ed060f8fefd05accf114e350c0c5c0cd32a8467",
+    "ranks --b2 3 --format json": "a7c2d562063715bfdff668820d76d5eb5efb51fa29eaa30d0a430e37d8f97496",
+    "ranks --b2 4": "8ff78d88d148d93f70259698e811768791dd6d0e4994eca74bd40596da25c7f2",
+    "ranks --b2 4 --format json": "9f98818b4b1d3cb5ca71ab15192bda69b83aa351d3835f4dd31b12d8bfcbd059",
+    "ranks --b2 5": "bce3f37926a707784c7c0c1b8edb030cf03a4351019edad4424d2794c5fc73a9",
+    "ranks --b2 5 --format json": "7086821a7d5a43d496e5075b022ba06dc389accfe02ad2ca653f4a4bd51b9fec",
+    "ranks --b2 6": "b20b8256b0c576f7901ec304e85889dafdefd8666839ad03f4d61d839b380643",
+    "ranks --b2 6 --format json": "6189df37d02bb2f2cca52351c179f2ef7eac61b9089ddc748afccdbc1e12571c",
+    "ranks --b2 7": "5488c682d4a6fbbd45fdc05c1e96bbdcb70c4025c97623582bd8d6c16398ca20",
+    "ranks --b2 7 --format json": "cafce9143f960ede87cef7f3c89d7d2dce4267c1d4d5eaa6f185b16304431358",
+    "ranks --b2 8": "5c6bc7112a300a49051df94d3513d175d91ca8d632bbaeeba13bd70ecfb76487",
+    "ranks --b2 8 --format json": "cdc4a29f0f4cd813badb5397f6918b7dd5397fecf6a53c9e81f1dd094ad169d1",
+    "ranks --b2 9": "06e47b8e4b837a3736d41123143bd187466eefa76f5e12598c7a25a33df5a053",
+    "ranks --b2 9 --format json": "bbc9880df335e6343b2160b5f0fb4dfd62765c4ddc05814f009c127e72f6d9c2",
+    "ranks --b2 10": "388c401ca95c419ca4a369c34eed2bc5cf31d70d6fba89976b81e6f09675358e",
+    "ranks --b2 10 --format json": "7bda46279ca72345518a270ba18432c00b5767fc9ecc3d11447f4863c0e79a93",
+    "ranks --b2 11": "9a0f9ac82c46571ea0c6fe68b25a15a8936d6002a87b7f76ef7c82979eb5d921",
+    "ranks --b2 11 --format json": "98acfb92aeb8a8d36eef61b6b877f9457e0cca3d958fbad681f99b40b07bb091",
+    "ranks --b2 12": "d44d20f7c81624103cee38ef9e65cb63715a7416b4915d0306bf78e35080e469",
+    "ranks --b2 12 --format json": "3805608c96c43dcdb269eaa3e073f7f503bc1382eeb595092c9cf99454ff2f1d",
+    "ranks --b2 13": "c5a143b40aa7ceda6193eb4b7de41a4a8b9d3e8bdfd54554ca945320a1fd3704",
+    "ranks --b2 13 --format json": "77c9af7ea20636f2823c404191b0fb71ee78709d3ee9c6accb6e0d2caa00350f",
+    "ranks --b2 14": "00ebba84410f802a028bd49d75135ab028fb5f5c7d4e510ac956e1f5821a9032",
+    "ranks --b2 14 --format json": "e21b293848b7ee7d08628ef08ea36c47a0169a3f0aa8b6ad3d57222e6a884339",
+    "ranks --b2 15": "2c7c06610070aeab0d9797115eab65ca5e7a04ad67d52a5932ee09e7eb2895af",
+    "ranks --b2 15 --format json": "2f61401f3974df77e773495092e7bc141fbed69424f23f87a6dca92f724e2a60",
+    "ranks --b2 16": "e5de53711292071ea305e25b5a4e7ec3c44d056519dc7cd49b6534a9a441067b",
+    "ranks --b2 16 --format json": "ad403d6e429e5ef648f3d439fb55c261b01f8dd58a4ca11df0eedb13aa42c6d1",
+    "ranks --b2 17": "745b929a278e048953fe9809109b3d0b96b59fd87a15a1da43f6c55279f7576f",
+    "ranks --b2 17 --format json": "d5983089ce798f9e0361ba618b01312ef02328561cd8225706877a276995ad02",
+    "ranks --b2 18": "d33ab33be9719df1774d4d20be244f766a0ab43532d3e8d2f9277b6ef481cefa",
+    "ranks --b2 18 --format json": "4c711ec4394c721bbd43add8c49d4533b3af5877667e01a0b70f478836def46d",
+    "ranks --b2 19": "76f7b52e393f6dc878cc4fc0fa84cf7c3eb622907b337e9bb9b685c38469fb96",
+    "ranks --b2 19 --format json": "fcae5a74dfa5923020a5f6992fed0c748edf0227c8c28c1452f210e3fcc61504",
+    "ranks --b2 20": "9afcca7d0c1e2a65afef13f500985105c50ee6ba13d7b1270d968ea1a98b7cc3",
+    "ranks --b2 20 --format json": "46aea6706fb6774f14ba36f476e7181da867a2d8af2da70c3e09f67b5301e13b",
+    "ranks --b2 21": "a151e1a33102517b7f4403f5b29a0d9c8832632d790fe6d92f2222c6b6b137b0",
+    "ranks --b2 21 --format json": "b45cbe77b2da9a2a1af54e5081aefbc01bb39072ca7571bca689e74e313edbc7",
+    "ranks --b2 22": "b3d94a2efa850ecc7d933c1f920d7a829c0f33e7df29cc05267ab7cdc759cc52",
+    "ranks --b2 22 --format json": "9d9a9249b01486243325f66bf7214e2fba5d9c76fc5f1f183972a8a1c2a02e10",
+    "ranks --b2 23": "e539b62f5d96ffcb2349b6439f4dc6dad4030f6afa06f7bb159ade5908b1ff07",
+    "ranks --b2 23 --format json": "7c484206ac286a61d267174860ede829407ca94ca9d14bd2e51750835f847133",
+    "ranks --b2 24": "4ccac972aef82bebc9e4102db02e5d5c3359eb705cb05dd740a085fe7817e5ae",
+    "ranks --b2 24 --format json": "ab4719910b0053dde3c5eb3a500fde4b8236af4eaf6ae2f574e3d70ba4afb662",
+    "ranks --b2 25": "bfa7edd3e11e0af2f9fddd988e08aceececccdc4732c9873736abb7361da5d2b",
+    "ranks --b2 25 --format json": "ecdfc7e26140ef672ea7ca356ab67cece812e733fbcfbf9f423dc1bd9e0ca9e8",
+    "ranks --b2 26": "8440c2b783cec37522560598124516fb70973679f8cde2c9ee94683c0407397e",
+    "ranks --b2 26 --format json": "0515b2a39cf82c883e76107408227cab292c58e704b33ced6fed2c220bdaf28d",
+    "ranks --b2 27": "ecc82990df989805cb422b44c619f6c4cfd2b51694f9e734208bc5a005766762",
+    "ranks --b2 27 --format json": "47e980ae5d23483f323899f2587d5e102d1f0e83097350864db05572f01b943c",
+    "ranks --b2 28": "9ac72af49d29555c2483afca0672de130761b8554b18bad5582a1e6d48254b58",
+    "ranks --b2 28 --format json": "8e9dac7730195d631f80b3de028ca61dfef840d35f667dda42a9f73b8934d58c",
+    "ranks --b2 29": "36ca48fdf7cd236b28acfb0c13394f69b7e9d82d6e5a396a0e42f613e11ae3c7",
+    "ranks --b2 29 --format json": "d31768b73685b51567eef8b8783c7463590712f2dc65f47116e15089e9b2ad29",
+    "ranks --b2 30": "98b4e8d35e8a0caa2cd9baefdf419ed7ae467359f346a9d418295ab9a0b89d2c",
+    "ranks --b2 30 --format json": "4902ed01bcdf79316ff8aed2ca59de460643a94c9625a314897007f0014d34f3",
+    "examples k3": "641ac6a379b3cd6572e2f0bb031ed96d44a766c5e4c2b80c4a03b857c0ccc150",
+    "examples hypersurface 3": "357246843429f26b19471f2dffa223f4ee7a703ee07569a5f2d74309f83104b9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RANKS_DIGESTS))
+def test_ranks_stdout_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RANKS_DIGESTS[command]
+
+
 def test_ranks_requires_one_source(capsys):
     code, _, err = run(capsys, "ranks")
     assert code == 2
@@ -371,6 +448,9 @@ def test_examples_k3_takes_no_parameter(capsys):
         (("examples", "connected-sum", "2,-1"), "connected-sum entries must be nonnegative"),
         (("model", "--b2", "2", "--split", "2"), "--split expects P,Q integers, got '2'"),
         (("ranks", "--b2", "2", "--split", "3,-1"), "--split entries must be nonnegative"),
+        (("ranks", "--b2", "2", "--split", "-1,3"), "--split entries must be nonnegative"),
+        (("model", "--b2", "2", "--split", "-1,3"), "--split entries must be nonnegative"),
+        (("examples", "connected-sum", "-1,3"), "connected-sum entries must be nonnegative"),
     ],
 )
 def test_split_errors_name_the_argument_given(capsys, argv, message):

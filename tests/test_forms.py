@@ -30,6 +30,7 @@ from fourfold.gca import GeneratorSet, Poly
 from fourfold.linalg import QMatrix
 from fourfold.sullivan import QuasiMorphism
 from fraction_reference import congruence_diagonalize, determinant
+import pbw_reference
 
 F = Fraction
 
@@ -265,6 +266,20 @@ def test_loop_space_ranks_agree_with_closed_forms_where_listed():
         listed = range(2, 8) if table.finite_tail else table.ranks
         for r in listed:
             assert ranks[r] == table.rank(r), (b2, r)
+
+
+def test_loop_space_ranks_match_the_series_product_reference():
+    for b2 in range(2, 31):
+        assert loop_space_ranks(b2, 40) == pbw_reference.loop_space_ranks(b2, 40), b2
+    for max_degree in range(-1, 3):
+        assert loop_space_ranks(5, max_degree) == pbw_reference.loop_space_ranks(5, max_degree)
+
+
+def test_closed_form_ranks_are_the_reference_in_every_listed_degree():
+    for b2 in range(2, 31):
+        expected = pbw_reference.loop_space_ranks(b2, 7)
+        for r, v in closed_form_ranks(b2).ranks.items():
+            assert v == expected[r], (b2, r)
 
 
 def test_loop_space_ranks_beyond_the_closed_forms():

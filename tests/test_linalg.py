@@ -123,7 +123,7 @@ def test_kernel_rank_nullity_and_annihilation():
 def test_kernel_of_zero_map_is_everything():
     k = kernel_basis(mat([[0, 0, 0], [0, 0, 0]]))
     assert k.dim == 3
-    assert k == Subspace.full(3)
+    assert k == Subspace(3, {0: {0: F(1)}, 1: {1: F(1)}, 2: {2: F(1)}})
 
 
 # ---------------------------------------------------------------- subspaces
@@ -135,19 +135,32 @@ def test_subspace_canonical_form_is_unique():
     assert a == b
 
 
+def test_repr_evaluates_to_an_equal_subspace():
+    spaces = [
+        Subspace.zero(3),
+        Subspace(2, {0: {0: F(1)}, 1: {1: F(1)}}),
+        Subspace.from_vectors(5, [[2, 4, 0, 1, 0], [0, 0, 3, 1, F(1, 2)], [1, 2, 3, 2, 1]]),
+        Subspace.from_vectors(3, [{0: 1, 2: 3}]),
+    ]
+    for s in spaces:
+        assert eval(repr(s), {"Subspace": Subspace, "Fraction": Fraction}) == s
+    assert repr(spaces[0]) == "Subspace(3, {})"
+    assert repr(spaces[2]).startswith("Subspace(5, {0: {0: Fraction(1, 1), 1: Fraction(2, 1)")
+
+
 def test_complement_of_itself_is_zero():
     s = Subspace.from_vectors(3, [[1, 0, 2], [0, 1, 0]])
     assert complement_in(s, s).dim == 0
 
 
 def test_complement_of_zero_is_everything():
-    full = Subspace.full(2)
+    full = Subspace(2, {0: {0: F(1)}, 1: {1: F(1)}})
     assert complement_in(Subspace.zero(2), full) == full
 
 
 def test_complement_splits_ambient():
     sub = Subspace.from_vectors(3, [[1, 0, 0]])
-    comp = complement_in(sub, Subspace.full(3))
+    comp = complement_in(sub, Subspace(3, {0: {0: F(1)}, 1: {1: F(1)}, 2: {2: F(1)}}))
     assert comp.dim == 2
     stacked = Subspace.from_vectors(3, list(sub.basis) + list(comp.basis))
     assert stacked.dim == 3
@@ -410,7 +423,8 @@ def test_sparse_and_dense_rows_agree():
     rows = [[F(0), F(2), F(0), F(4)], [F(1), F(0), F(0), F(1)]]
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     assert Subspace.from_vectors(4, sparse) == Subspace.from_vectors(4, rows)
-    assert contains(Subspace.full(4), {3: F(5)})
+    full = Subspace(4, {0: {0: F(1)}, 1: {1: F(1)}, 2: {2: F(1)}, 3: {3: F(1)}})
+    assert contains(full, {3: F(5)})
     assert not contains(Subspace.from_vectors(4, rows), [F(0), F(0), F(7), F(0)])
     # a stored zero is dropped, as a zero entry of a dense row is
     assert Subspace.from_vectors(2, [{0: F(0), 1: F(1)}]) == Subspace.from_vectors(
