@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "k3_form",
     "connected_sum_form",
 ]
-
-_ZERO = Fraction(0)
 
 
 class NotSymmetric(ValueError):
@@ -240,7 +237,7 @@ class CohomologyAlgebra:
         """Product of two degree-2 vectors: a multiple of V, as a sparse vector."""
         if len(b) < len(a):
             a, b = b, a
-        acc = _ZERO
+        acc = 0
         for i, x in a.items():
             y = b.get(i)
             if y is not None:

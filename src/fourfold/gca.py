@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Subspace
+from .linalg import Subspace, exact
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -55,9 +54,6 @@ DEFAULT_GUARD = 200_000
 
 Mono = tuple  # ascending word of generator indices
 ONE_MONO: Mono = ()
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class BasisTooLarge(RuntimeError):
@@ -207,7 +203,11 @@ def mono_mul(gens: GeneratorSet, a: Mono, b: Mono):
 
 
 class Poly:
-    """Homogeneous rational linear combination of monomials."""
+    """Homogeneous rational linear combination of monomials.
+
+    Coefficients follow the rule of `linalg.exact`, an int when integral and
+    a Fraction otherwise; `from_terms` and `scaled` put their input in it.
+    """
 
     __slots__ = ("terms", "degree")
 
@@ -224,7 +224,7 @@ class Poly:
         terms: dict = {}
         degree = None
         for mono, coeff in items.items():
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            coeff = exact(coeff)
             if not coeff:
                 continue
             prev = -1
@@ -239,7 +239,7 @@ class Poly:
                 degree = d
             elif degree != d:
                 raise ValueError("terms are not homogeneous")
-            terms[mono] = terms.get(mono, _ZERO) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         terms = {m: c for m, c in terms.items() if c}
         return Poly(terms, degree if terms else None)
 
@@ -262,7 +262,7 @@ class Poly:
             raise ValueError("cannot add polynomials of different degrees")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            nc = terms.get(m, _ZERO) + c
+            nc = terms.get(m, 0) + c
             if nc:
                 terms[m] = nc
             elif m in terms:
@@ -276,7 +276,7 @@ class Poly:
         return self + (-other)
 
     def scaled(self, coeff) -> "Poly":
-        coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        coeff = exact(coeff)
         if not coeff or self.is_zero():
             return Poly()
         return Poly({m: c * coeff for m, c in self.terms.items()}, self.degree)
@@ -391,7 +391,7 @@ class Derivation:
         acc: dict = {}
         for mono, coeff in poly.terms.items():
             for m, c in self.apply_mono(mono).terms.items():
-                acc[m] = acc.get(m, _ZERO) + coeff * c
+                acc[m] = acc.get(m, 0) + coeff * c
         acc = {m: c for m, c in acc.items() if c}
         return Poly(acc, poly.degree + 1) if acc else Poly()
 
@@ -444,7 +444,7 @@ def decomposable_subspace(
                 sm = mono_mul(gens, m1, m2)
                 if sm is not None:
                     hit.add(index[sm[1]])
-    return Subspace.from_vectors(len(blist), [{i: _ONE} for i in sorted(hit)])
+    return Subspace.from_vectors(len(blist), [{i: 1} for i in sorted(hit)])
 
 
 def format_mono(gens: GeneratorSet, mono: Mono) -> str:

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-All entries are `fractions.Fraction` values; nothing in this module ever
-touches floating point.  Degenerate shapes (0 x n and n x 0) are legal
-everywhere.
+An exact rational is stored as an `int` when it is integral and as a
+`fractions.Fraction` otherwise (`exact` puts a value in that form), so
+elimination multiplies plain integers wherever it can; nothing in this
+module ever touches floating point.  Degenerate shapes (0 x n and
+n x 0) are legal everywhere.
 
 Rows are sparse: dicts from column index to nonzero value.  One routine,
 `_eliminate`, reduces rows against echelon rows keyed by pivot column,
@@ -32,14 +34,21 @@ __all__ = [
     "kernel_basis_from_rows",
     "kernel_from_reduced",
     "complement_in",
+    "exact",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotContained(ValueError):
     """The claimed subspace inclusion does not hold."""
+
+
+def exact(x) -> int | Fraction:
+    """`x` as the engine stores a rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _fraction_row(row: Iterable) -> tuple[Fraction, ...]:
@@ -87,7 +96,7 @@ class QMatrix:
         for i in range(self.rows):
             srow = self.entries[i]
             nz = [(k, srow[k]) for k in range(self.cols) if srow[k]]
-            acc = [_ZERO] * other.cols
+            acc = [Fraction(0)] * other.cols
             for k, v in nz:
                 orow = other.entries[k]
                 for j in range(other.cols):
@@ -110,8 +119,8 @@ def _sparse(vector, ncols: int) -> dict:
     return {j: x for j, x in enumerate(_fraction_row(vector)) if x}
 
 
-def _dense(row: dict, ncols: int) -> tuple[Fraction, ...]:
-    return tuple(row.get(j, _ZERO) for j in range(ncols))
+def _dense(row: dict, ncols: int) -> tuple:
+    return tuple(row.get(j, 0) for j in range(ncols))
 
 
 def _reduce(v: dict, held: dict) -> dict:
@@ -152,7 +161,9 @@ def _eliminate(rows: Iterable[dict]) -> dict:
 
     Consumes `rows`, fresh sparse dicts: each is reduced against the pivot
     rows kept so far and its nonzero remainder kept as a new pivot row; the
-    kept rows are then back-substituted, highest pivot first.
+    kept rows are then back-substituted, highest pivot first, and put in the
+    form of `exact`.  A pivot of 1 or -1 keeps integer rows integral; any
+    other is divided out as a Fraction, the only division of the engine.
     """
     held: dict = {}
     for v in rows:
@@ -160,15 +171,21 @@ def _eliminate(rows: Iterable[dict]) -> dict:
         if v:
             lead = min(v)
             pivot = v[lead]
-            if pivot != 1:
-                scale = _ONE / pivot
+            if pivot == -1:
+                for j, x in v.items():
+                    v[j] = -x
+            elif pivot != 1:
+                scale = Fraction(1) / pivot
                 for j, x in v.items():
                     v[j] = x * scale
             held[lead] = v
     pivots = sorted(held)
     done: dict = {}
     for p in reversed(pivots):
-        done[p] = _reduce(held[p], done)
+        row = done[p] = _reduce(held[p], done)
+        for j, x in row.items():
+            if type(x) is not int:
+                row[j] = exact(x)
     return {p: done[p] for p in pivots}
 
 
@@ -211,7 +228,7 @@ class Subspace:
         return len(self.rows)
 
     @property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+    def basis(self) -> tuple[tuple, ...]:
         """The basis rows as dense tuples."""
         return tuple(_dense(r, self.ambient_dim) for r in self.rows.values())
 
@@ -244,7 +261,7 @@ def kernel_from_reduced(
     and vanishes at every other one: the kernel's reduced echelon basis.
     """
     last = ncols - 1
-    vectors = {f: {f: _ONE} for f in range(ncols)}
+    vectors = {f: {f: 1} for f in range(ncols)}
     for p in pivots:
         del vectors[last - p]
     for p, row in zip(pivots, reduced):

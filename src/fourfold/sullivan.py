@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .forms import CohomologyAlgebra, RankTable, loop_space_ranks
@@ -75,9 +74,6 @@ __all__ = [
     "verify_stage",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class NotSimplyConnected(ValueError):
     """The target algebra is not connected and simply connected."""
@@ -86,7 +82,7 @@ class NotSimplyConnected(ValueError):
 def _add_scaled(acc: dict, coeff, row: dict) -> None:
     """acc += coeff * row on sparse rows, in place, keeping nonzeros only."""
     for j, x in row.items():
-        s = acc.get(j, _ZERO) + coeff * x
+        s = acc.get(j, 0) + coeff * x
         if s:
             acc[j] = s
         else:
@@ -110,7 +106,7 @@ class QuasiMorphism:
         generators; three positive-degree factors land in degree >= 6.
         """
         if not mono:
-            return {0: _ONE}
+            return {0: 1}
         if len(mono) == 1:
             return self.images[mono[0]]
         i, j = mono
@@ -240,7 +236,7 @@ def init_stage(algebra: CohomologyAlgebra) -> MinimalModelStage:
     n2 = algebra.dim(2)
     gens = GeneratorSet([(f"x{i + 1}", 2) for i in range(n2)])
     diff = Derivation(gens, [Poly.zero()] * n2)
-    qm = QuasiMorphism(tuple({i: _ONE} for i in range(n2)))
+    qm = QuasiMorphism(tuple({i: 1} for i in range(n2)))
     return MinimalModelStage(algebra, gens, diff, qm, 2)
 
 
@@ -264,7 +260,7 @@ def extend_stage(
             for z in low.kernel.rows.values()
         ]
         reached = Subspace.from_vectors(target_dim, image_vectors)
-        y_images = [{p: _ONE} for p in range(target_dim) if p not in reached.rows]
+        y_images = [{p: 1} for p in range(target_dim) if p not in reached.rows]
     else:
         y_images = []
 

@@ -12,6 +12,7 @@ from fourfold.linalg import (
     Subspace,
     complement_in,
     kernel_basis_from_rows,
+    row_reduce,
 )
 from fourfold.sullivan import build
 from fraction_reference import congruence_diagonalize, determinant, kernel_basis, rref
@@ -145,7 +146,7 @@ def test_repr_evaluates_to_an_equal_subspace():
     for s in spaces:
         assert eval(repr(s), {"Subspace": Subspace, "Fraction": Fraction}) == s
     assert repr(spaces[0]) == "Subspace(3, {})"
-    assert repr(spaces[2]).startswith("Subspace(5, {0: {0: Fraction(1, 1), 1: Fraction(2, 1)")
+    assert repr(spaces[2]).startswith("Subspace(5, {0: {0: 1, 1: 2, 4: Fraction(-1, 2)}")
 
 
 def test_complement_of_itself_is_zero():
@@ -403,6 +404,58 @@ def test_sparse_kernel_matches_dense_reference(shape):
         assert comp.basis == tuple(ref_complement(sub.basis, within.basis, ncols))
         assert complement_in(Subspace.zero(ncols), within) == within
         assert complement_in(within, within).dim == 0
+
+
+def canonical(x):
+    """An exact rational as the engine stores it: an int, or a non-integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def random_integer_rows(rng, nrows, ncols, mixed):
+    """Sparse rows of small ints, each leading with a pivot in {+-1, +-2, 3};
+    with `mixed`, some later entries are Fractions (x/2 and x/3)."""
+    rows = []
+    for _ in range(nrows):
+        lead = rng.randrange(ncols)
+        row = {lead: rng.choice([1, -1, 2, -2, 3])}
+        for j in range(lead + 1, ncols):
+            if rng.random() < 0.3:
+                x = rng.choice([-3, -2, -1, 1, 2, 3])
+                row[j] = F(x, rng.choice([2, 3])) if mixed and rng.random() < 0.4 else x
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["int", "mixed"])
+@pytest.mark.parametrize(
+    "shape", [s for s in SHAPES if s[1]], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_integer_rows_match_dense_reference_in_canonical_form(shape, mixed):
+    rng = random.Random(f"integer-{shape}-{mixed}")
+    nrows, ncols = shape
+    for _ in range(25):
+        rows = random_integer_rows(rng, nrows, ncols, mixed)
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        reduced, pivots = ref_rref(dense, ncols)
+        got, got_pivots = row_reduce(rows, ncols)
+        assert got_pivots == pivots
+        assert [tuple(r.get(j, 0) for j in range(ncols)) for r in got] == list(reduced)
+        kernel = kernel_basis_from_rows(rows, ncols)
+        assert kernel.basis == tuple(ref_kernel(dense, ncols))
+        within = Subspace.from_vectors(ncols, rows)
+        combos = []
+        for _ in range(rng.randint(0, within.dim)):
+            combo: dict = {}
+            for row in within.rows.values():
+                c = rng.randint(-2, 2)
+                for j, x in row.items():
+                    combo[j] = combo.get(j, 0) + c * x
+            combos.append(combo)
+        sub = Subspace.from_vectors(ncols, combos)
+        comp = complement_in(sub, within)
+        assert comp.basis == tuple(ref_complement(sub.basis, within.basis, ncols))
+        outputs = got + [r for s in (kernel, within, sub, comp) for r in s.rows.values()]
+        assert all(canonical(x) for r in outputs for x in r.values())
 
 
 def test_reduced_echelon_form_ignores_row_order():

@@ -1,14 +1,21 @@
-"""Property tests: intersection-form invariants and the loop-space ranks.
+"""Property tests: intersection-form invariants, the loop-space ranks, and
+the exit contract of the command line on malformed form files and odd
+argument tokens.
 
 Examples are drawn deterministically (`derandomize=True`, a fixed
 `max_examples`, no example database), so every run checks the same cases.
 """
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fourfold.cli import main
 from fourfold.forms import (
     _block_diagonal,
     _inertia,
@@ -95,3 +102,124 @@ def test_loop_space_ranks_match_the_series_product(b2, max_degree):
     assert ranks == pbw_reference.loop_space_ranks(b2, max_degree)
     assert list(ranks) == list(range(2, max_degree + 1))
     assert all(type(v) is int and v >= 0 for v in ranks.values())
+
+
+# ---------------------------------------------------------------- command line
+
+
+def run(*argv):
+    """(exit code, stdout, stderr, whether argparse accepted the tokens)."""
+    out, err = io.StringIO(), io.StringIO()
+    parsed = True
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse prints usage and its error, then exits
+            code, parsed = exc.code, False
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+ODD_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(lambda x: x * 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(-1, 1), max_size=2),
+)
+ENTRIES = st.one_of(st.integers(-3, 3), ODD_ENTRIES)
+
+
+@st.composite
+def odd_square(draw):
+    """A square integer matrix with one entry that is not a small integer."""
+    n = draw(st.integers(1, 3))
+    m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ODD_ENTRIES)
+    return m
+
+
+MATRICES = st.one_of(
+    st.lists(st.lists(ENTRIES, max_size=4), max_size=4),  # ragged, non-square, anything
+    odd_square(),
+    st.integers(0, 3).flatmap(lambda n: st.lists(  # square integer matrices
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+    )),
+    st.lists(st.sampled_from([1, -1]), max_size=4).map(  # unimodular diagonals
+        lambda d: [[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]
+    ),
+    st.just([[0, 1], [1, 0]]),
+    st.lists(ENTRIES, max_size=3),  # rows that are not lists
+    ENTRIES,  # a scalar
+)
+
+
+@st.composite
+def form_texts(draw):
+    """The JSON text of a form document: whole, without its "matrix" key, a
+    bare matrix, truncated, or with an integer over the parser's digit limit."""
+    kind = draw(st.sampled_from(
+        ["form"] * 4 + ["no matrix key", "bare", "truncated", "long integer"]
+    ))
+    if kind == "long integer":
+        return '{"matrix": [[' + "7" * 5000 + "]]}"
+    matrix = draw(MATRICES)
+    doc = {"matrix": matrix, "name": draw(st.one_of(st.text(max_size=4), st.integers()))}
+    text = json.dumps({"bare": matrix, "no matrix key": {"rows": matrix}}.get(kind, doc))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, max(0, len(text) - 1)))]
+    return text
+
+
+def check_contract(code, out, err):
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:")
+    else:
+        assert err == ""
+
+
+@settings(deterministic(80), suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(form_texts())
+def test_malformed_form_files_exit_zero_or_two(tmp_path, text):
+    path = tmp_path / "form.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (
+        ("ranks", "--form", str(path)),
+        ("model", "--form", str(path), "--max-degree", "3"),
+        ("classify", str(path), "hyperbolic"),
+    ):
+        code, out, err, parsed = run(*argv)
+        assert parsed
+        check_contract(code, out, err)
+
+
+def odd_int(values):
+    """An integer in an odd spelling; about a third are spellings `int` rejects."""
+    shapes = ["{}"] * 6 + ["+{}", "0{}", " {} ", "{}.0", "{}_", "x{}", "", "{}e0"]
+    return st.builds(lambda v, shape: shape.format(v), values, st.sampled_from(shapes))
+
+
+@deterministic(80)
+@given(
+    st.sampled_from(["ranks", "model"]),
+    odd_int(st.one_of(st.integers(-2, 3), st.just(10**30))),
+    st.one_of(st.none(), st.text("0123456789,-+ x", max_size=6)),
+    odd_int(st.integers(-2, 5)),
+    st.one_of(st.none(), odd_int(st.integers(-2, 4))),  # a huge one would let b2 = 10**30 run
+)
+def test_odd_argument_tokens_keep_the_exit_contract(command, b2, split, degree, guard):
+    argv = [command, "--b2", b2, "--max-degree", degree]
+    if split is not None:
+        argv += ["--split", split]
+    if guard is not None:
+        argv += ["--guard", guard]
+    code, out, err, parsed = run(*argv)
+    if not parsed:  # an option's token failed argparse: usage, then its error line
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith(f"fourfold {command}: error: argument")
+    elif code == 3:  # a tiny --guard or a huge b2 trips the basis guard
+        assert err.startswith("error: monomial basis")
+    else:
+        check_contract(code, out, err)

@@ -27,6 +27,7 @@ from fourfold.sullivan import (
 )
 from fraction_reference import kernel_basis
 from test_gca import gen
+from test_linalg import canonical
 
 F = Fraction
 
@@ -424,3 +425,33 @@ def test_no_new_closed_generators_above_the_first_step():
     for b2 in (1, 2, 3):
         _, _, reports = build(algebra_from_split(b2, 0), max_degree=5)
         assert all(r.new_cocycle_generators == 0 for r in reports)
+
+
+# ---------------------------------------------------------------- coefficients
+
+
+COEFFICIENT_CELLS = [(split, 5) for b2 in range(7) for split in splits(b2)] + [
+    ((1, 2), 8),
+    ((1, 0), 9),
+    ((0, 1), 9),
+]
+
+
+@pytest.mark.parametrize(
+    "split,max_degree", COEFFICIENT_CELLS, ids=lambda c: str(c).replace(" ", "")
+)
+def test_model_coefficients_are_ints_or_proper_fractions(split, max_degree):
+    stage, _, _ = build(algebra_from_split(*split), max_degree)
+    differential = [c for p in stage.diff.images for c in p.terms.values()]
+    rows = [
+        x
+        for data in stage._data.values()
+        for row in data.kernel.rows.values()
+        for x in row.values()
+    ]
+    assert all(canonical(x) for x in differential + rows)
+    others = [x for image in stage.qm.images for x in image.values()]
+    others += [
+        c for data in stage._data.values() for p in data.image for c in p.terms.values()
+    ]
+    assert not any(isinstance(x, float) for x in others)
