@@ -447,11 +447,15 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative P,Q pair such as -1,3 as a value, as argparse reads -1."""
+    """Reads a negative P,Q pair such as -1,3 as a value, as argparse reads -1,
+    and reports a rejected token as an input error instead of exiting."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _add_source_options(sub) -> None:

@@ -10,13 +10,14 @@ Rows are sparse: dicts from column index to nonzero value.  One routine,
 `_eliminate`, reduces rows against echelon rows keyed by pivot column,
 lowest pivot first, then back-substitutes; rank, kernels, complements and
 membership all go through it.  Reduced echelon bases are unique, so results
-depend only on the column order, never on the row order.  A kernel takes one
-elimination, of its system with the columns reversed: the kernel vectors read
-off that form are already in reduced echelon form in the original order
-(`kernel_from_reduced`).  Functions taking rows accept sparse or dense ones,
-and `Subspace.basis` gives dense tuples.  `QMatrix`, a dense matrix with a
-transpose and a product, is used by no other module of the package; the
-acceptance suite builds unimodular congruences U^T S U with it.
+depend only on the column order, never on the row order.  `kernel` is the
+one kernel entry point: it takes the columns of a map, transposes them into
+rows with the columns reversed and eliminates once; the kernel vectors read
+off that form are already in reduced echelon form in the original order.
+`Subspace.from_vectors` takes sparse or dense rows, and `Subspace.basis`
+gives dense tuples.  `QMatrix`, a dense matrix with a transpose and a
+product, is used by no other module of the package; the acceptance suite
+builds unimodular congruences U^T S U with it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ __all__ = [
     "NotContained",
     "QMatrix",
     "Subspace",
-    "row_reduce",
-    "kernel_basis_from_rows",
-    "kernel_from_reduced",
+    "kernel",
     "complement_in",
     "exact",
 ]
@@ -189,16 +188,6 @@ def _eliminate(rows: Iterable[dict]) -> dict:
     return {p: done[p] for p in pivots}
 
 
-def row_reduce(rows: Sequence, ncols: int) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form of a row list.
-
-    Returns (pivot rows, pivot columns), both in ascending pivot order; the
-    pivot rows are sparse and the zero rows of the echelon form are left out.
-    """
-    echelon = _eliminate([_sparse(r, ncols) for r in rows])
-    return list(echelon.values()), list(echelon)
-
-
 class Subspace:
     """Subspace of Q^n stored by its unique reduced echelon basis.
 
@@ -218,10 +207,6 @@ class Subspace:
     def from_vectors(ambient_dim: int, vectors: Sequence) -> "Subspace":
         rows = _eliminate([_sparse(v, ambient_dim) for v in vectors])
         return Subspace(ambient_dim, rows)
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, {})
 
     @property
     def dim(self) -> int:
@@ -243,28 +228,27 @@ class Subspace:
         return f"Subspace({self.ambient_dim}, {self.rows!r})"
 
 
-def kernel_basis_from_rows(rows: Sequence, ncols: int) -> Subspace:
-    """Kernel of the linear map whose constraint rows are given."""
-    flipped = [{ncols - 1 - j: x for j, x in _sparse(r, ncols).items()} for r in rows]
-    reduced, pivots = row_reduce(flipped, ncols)
-    return kernel_from_reduced(reduced, pivots, ncols)
+def kernel(columns: Sequence[dict]) -> Subspace:
+    """Kernel of the map that sends basis vector j to `columns[j]`.
 
-
-def kernel_from_reduced(
-    reduced: Sequence[dict], pivots: Sequence[int], ncols: int
-) -> Subspace:
-    """Kernel read off the reduced echelon form R of a column-reversed system.
-
-    R (`reduced`, `pivots`) holds column j of the system at ncols - 1 - j.
-    A free column f' gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f'
-    and pivots p' < f'; in the original order it leads with 1 at a free column
-    and vanishes at every other one: the kernel's reduced echelon basis.
+    Each column is a sparse dict keyed by any sortable coordinate of the
+    target.  The transpose, one row per key in sorted order with column j
+    stored at ncols - 1 - j, is eliminated once to R.  A free column f' of R
+    gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f' and pivots p' < f';
+    in the original order it leads with 1 at a free column and vanishes at
+    every other one: the kernel's reduced echelon basis.
     """
+    ncols = len(columns)
     last = ncols - 1
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for key, x in column.items():
+            rows.setdefault(key, {})[last - j] = x
+    reduced = Subspace.from_vectors(ncols, [rows[key] for key in sorted(rows)]).rows
     vectors = {f: {f: 1} for f in range(ncols)}
-    for p in pivots:
+    for p in reduced:
         del vectors[last - p]
-    for p, row in zip(pivots, reduced):
+    for p, row in reduced.items():
         for f, x in row.items():
             if f != p:
                 vectors[last - f][last - p] = -x

@@ -30,8 +30,8 @@ Degree bookkeeping: only monomials in generators of degree <= n can appear
 in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
 previous one and eliminates exactly one new differential, the one on the
-cochains two degrees above the new stage; its kernel is read off that same
-column-reversed reduction (linalg.kernel_from_reduced).
+cochains two degrees above the new stage, once (linalg.kernel), for both its
+kernel and its image.
 """
 
 from __future__ import annotations
@@ -51,14 +51,7 @@ from .gca import (
     basis,
     check_d_squared,
 )
-from .linalg import (
-    NotContained,
-    Subspace,
-    complement_in,
-    kernel_basis_from_rows,
-    kernel_from_reduced,
-    row_reduce,
-)
+from .linalg import NotContained, Subspace, complement_in, kernel
 
 __all__ = [
     "NotSimplyConnected",
@@ -129,8 +122,8 @@ class _DiffData:
     """Differential of one degree: domain basis, kernel and image data.
 
     `kernel` is the cocycle subspace in coordinates over `blist`; `image`
-    holds the differentials of the pivot columns of the column-reversed
-    reduction, an independent basis of the coboundaries one degree up.
+    holds the differentials of the basis monomials that are not free columns
+    of the kernel, an independent basis of the coboundaries one degree up.
     """
 
     blist: tuple
@@ -210,19 +203,11 @@ def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
     if cached is not None:
         return cached
     blist = basis(stage.gens, n, guard) if n >= 0 else []
-    index = {m: i for i, m in enumerate(basis(stage.gens, n + 1, guard))}
-    ncols = len(blist)
-    last = ncols - 1
+    basis(stage.gens, n + 1, guard)  # the guard covers the degree d lands in, too
     col_polys = [stage.diff.apply_mono(m) for m in blist]
-    # Reversed columns: kernel_from_reduced needs no second elimination.
-    rowmap: dict = {}
-    for j, p in enumerate(col_polys):
-        for mono, c in p.terms.items():
-            rowmap.setdefault(index[mono], {})[last - j] = c
-    reduced, pivots = row_reduce([rowmap[i] for i in sorted(rowmap)], ncols)
-    kernel = kernel_from_reduced(reduced, pivots, ncols)
-    image = tuple(col_polys[last - q] for q in pivots)
-    data = _DiffData(tuple(blist), kernel, image)
+    cocycles = kernel([p.terms for p in col_polys])
+    image = tuple(p for j, p in enumerate(col_polys) if j not in cocycles.rows)
+    data = _DiffData(tuple(blist), cocycles, image)
     stage._data[n] = data
     return data
 
@@ -269,13 +254,10 @@ def extend_stage(
     boundary_sub = _coboundaries(low.image, high.blist)
     if algebra.dim(k + 2):
         zvecs = list(high.kernel.rows.values())
-        # One constraint row per target coordinate: the transposed images.
-        constraint_rows: dict = {}
-        for i, z in enumerate(zvecs):
-            image = stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2)
-            for r, x in image.items():
-                constraint_rows.setdefault(r, {})[i] = x
-        combos = kernel_basis_from_rows(list(constraint_rows.values()), len(zvecs))
+        combos = kernel([
+            stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2)
+            for z in zvecs
+        ])
         vanishing = Subspace.from_vectors(
             len(high.blist), [_combine(c, zvecs) for c in combos.rows.values()]
         )
@@ -311,22 +293,17 @@ def extend_stage(
 
 def stage_cohomology(
     stage: MinimalModelStage, n: int, guard: int = DEFAULT_GUARD
-) -> tuple[int, list, Subspace]:
-    """Cohomology of the stage in degree n.
-
-    Returns (dimension, cocycle representatives, coboundary subspace); the
-    representatives project to a basis of the quotient.
-    """
+) -> list:
+    """Cocycle representatives that project to a basis of H^n of the stage."""
     if n == 0:
-        return 1, [Poly.monomial(stage.gens, ())], Subspace.zero(1)
+        return [Poly.monomial(stage.gens, ())]
     here = _diff_data(stage, n, guard)
     below = _diff_data(stage, n - 1, guard)
     boundary_sub = _coboundaries(below.image, here.blist)
-    reps = [
+    return [
         _vector_poly(v, here.blist, n)
         for v in complement_in(boundary_sub, here.kernel).rows.values()
     ]
-    return here.kernel.dim - len(below.image), reps, boundary_sub
 
 
 def build(
@@ -423,20 +400,20 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
     iso_failures = []
     for i in range(0, stage.k + 1):
         try:
-            dim, reps, _ = stage_cohomology(stage, i, guard)
+            reps = stage_cohomology(stage, i, guard)
         except NotContained:
             # boundaries escape the cocycles, so the differential is broken
             iso_failures.append(f"H^{i}: coboundaries are not closed")
             continue
         target = algebra.dim(i)
-        if dim != target:
-            iso_failures.append(f"H^{i}: stage {dim} vs target {target}")
+        if len(reps) != target:
+            iso_failures.append(f"H^{i}: stage {len(reps)} vs target {target}")
             continue
         if target:
             rows = [stage.qm.on_poly(algebra, rep, i) for rep in reps]
-            _, pivots = row_reduce(rows, target)
-            if len(pivots) != target:
-                iso_failures.append(f"H^{i}: induced map has rank {len(pivots)}")
+            rank = Subspace.from_vectors(target, rows).dim
+            if rank != target:
+                iso_failures.append(f"H^{i}: induced map has rank {rank}")
     checks.append(
         CheckResult("cohomology_isomorphism", not iso_failures, "; ".join(iso_failures))
     )

@@ -6,18 +6,14 @@ plain rational sweeps: a congruence diagonalization that also returns the
 change of basis, and a Gaussian-elimination determinant.
 
 The package eliminates sparse rows only; `rref` and `kernel_basis` wrap
-`row_reduce` and `kernel_basis_from_rows` for dense `QMatrix` inputs.
+`Subspace.from_vectors` and `kernel` (which takes the matrix's columns) for
+dense `QMatrix` inputs.
 """
 
 from fractions import Fraction
 
 from fourfold.forms import NotSymmetric
-from fourfold.linalg import (
-    QMatrix,
-    Subspace,
-    kernel_basis_from_rows,
-    row_reduce,
-)
+from fourfold.linalg import QMatrix, Subspace, kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -109,12 +105,13 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
 
     Returns (R, pivot columns, rank); R is the unique RREF of the input.
     """
-    reduced, pivots = row_reduce(matrix.entries, matrix.cols)
-    entries = [tuple(r.get(j, _ZERO) for j in range(matrix.cols)) for r in reduced]
+    reduced = Subspace.from_vectors(matrix.cols, matrix.entries).rows
+    entries = [tuple(r.get(j, _ZERO) for j in range(matrix.cols)) for r in reduced.values()]
     entries += [(_ZERO,) * matrix.cols] * (matrix.rows - len(entries))
-    return QMatrix(matrix.rows, matrix.cols, tuple(entries)), tuple(pivots), len(pivots)
+    return QMatrix(matrix.rows, matrix.cols, tuple(entries)), tuple(reduced), len(reduced)
 
 
 def kernel_basis(matrix: QMatrix) -> Subspace:
     """Basis of {v : Mv = 0} with dim = cols - rank."""
-    return kernel_basis_from_rows(matrix.entries, matrix.cols)
+    columns = [{i: row[j] for i, row in enumerate(matrix.entries)} for j in range(matrix.cols)]
+    return kernel(columns)

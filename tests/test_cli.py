@@ -497,6 +497,26 @@ def test_negative_guard_is_an_input_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("model", "--b2", "x"), "argument --b2: invalid int value: 'x'"),
+        (("ranks", "--b2", "3", "--max-degree", "5.0"),
+         "argument --max-degree: invalid int value: '5.0'"),
+        (("model", "--guard", ""), "argument --guard: invalid int value: ''"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate' "
+         "(choose from 'ranks', 'model', 'classify', 'examples', 'verify')"),
+        ((), "the following arguments are required: command"),
+    ],
+    ids=["b2", "max-degree", "guard", "subcommand", "bare"],
+)
+def test_rejected_tokens_return_exit_two_with_one_error_line(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("ranks", "--b2", "1000000", "--engine", "--max-degree", "3"),
@@ -547,6 +567,31 @@ def test_verify_single_rank_all_splits(capsys):
     assert code == 0
     assert out.count("[PASS]") == 5  # four splits plus the identity-of-tables line
     assert "all checks passed" in out
+
+
+# sha256 of the stdout of each sweep benchmark command, recorded before
+# `verify_stage` read its ranks through `linalg.kernel`.
+VERIFY_DIGESTS = {
+    "verify --all-splits":
+        "ac2ca90a090c74b15df3f9b844fa7bc41e9c28647fb689541c8da4ec88a94dda",
+    "verify --b2 0 --all-splits --max-degree 9":
+        "063964ac4a9ad708eec48a1bb4d9c2f8be7b71830f8050deb92f08c76ba32ac2",
+    "verify --b2 1 --all-splits --max-degree 9":
+        "9a0e6a6fe8e39e1bdbe7cdc023947586ddf0bfbe281a860a709a95725b32a9a5",
+    "verify --b2 2 --all-splits --max-degree 8":
+        "c10c21e6effb0537c8722e18d1dc61c2016c504c79b5fa728dbffd8eb5f5c4bf",
+    "verify --b2 3 --all-splits --max-degree 6":
+        "c8fede388384213732d6e7223b93933572414fc3201e28b5f8ee28eb0cabff34",
+    "verify --b2 4 --all-splits --max-degree 5":
+        "dcfa271a70afc2a04b12198c0bab92c086400e85200b843ac0e4bdda70165784",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_is_byte_identical(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[command]
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

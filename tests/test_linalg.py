@@ -4,16 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from fourfold import linalg
 from fourfold.forms import NotSymmetric, algebra_from_split
 from fourfold.gca import basis
-from fourfold.linalg import (
-    NotContained,
-    QMatrix,
-    Subspace,
-    complement_in,
-    kernel_basis_from_rows,
-    row_reduce,
-)
+from fourfold.linalg import NotContained, QMatrix, Subspace, complement_in, kernel
 from fourfold.sullivan import build
 from fraction_reference import congruence_diagonalize, determinant, kernel_basis, rref
 
@@ -138,7 +132,7 @@ def test_subspace_canonical_form_is_unique():
 
 def test_repr_evaluates_to_an_equal_subspace():
     spaces = [
-        Subspace.zero(3),
+        Subspace(3, {}),
         Subspace(2, {0: {0: F(1)}, 1: {1: F(1)}}),
         Subspace.from_vectors(5, [[2, 4, 0, 1, 0], [0, 0, 3, 1, F(1, 2)], [1, 2, 3, 2, 1]]),
         Subspace.from_vectors(3, [{0: 1, 2: 3}]),
@@ -156,7 +150,7 @@ def test_complement_of_itself_is_zero():
 
 def test_complement_of_zero_is_everything():
     full = Subspace(2, {0: {0: F(1)}, 1: {1: F(1)}})
-    assert complement_in(Subspace.zero(2), full) == full
+    assert complement_in(Subspace(2, {}), full) == full
 
 
 def test_complement_splits_ambient():
@@ -402,7 +396,7 @@ def test_sparse_kernel_matches_dense_reference(shape):
         ])
         comp = complement_in(sub, within)
         assert comp.basis == tuple(ref_complement(sub.basis, within.basis, ncols))
-        assert complement_in(Subspace.zero(ncols), within) == within
+        assert complement_in(Subspace(ncols, {}), within) == within
         assert complement_in(within, within).dim == 0
 
 
@@ -437,12 +431,13 @@ def test_integer_rows_match_dense_reference_in_canonical_form(shape, mixed):
         rows = random_integer_rows(rng, nrows, ncols, mixed)
         dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
         reduced, pivots = ref_rref(dense, ncols)
-        got, got_pivots = row_reduce(rows, ncols)
-        assert got_pivots == pivots
-        assert [tuple(r.get(j, 0) for j in range(ncols)) for r in got] == list(reduced)
-        kernel = kernel_basis_from_rows(rows, ncols)
-        assert kernel.basis == tuple(ref_kernel(dense, ncols))
         within = Subspace.from_vectors(ncols, rows)
+        got = list(within.rows.values())
+        assert list(within.rows) == pivots
+        assert [tuple(r.get(j, 0) for j in range(ncols)) for r in got] == list(reduced)
+        null = kernel(transpose(rows, ncols))
+        assert null.basis == tuple(ref_kernel(dense, ncols))
+        assert kernel_basis(mat(dense, cols=ncols)) == null
         combos = []
         for _ in range(rng.randint(0, within.dim)):
             combo: dict = {}
@@ -454,7 +449,7 @@ def test_integer_rows_match_dense_reference_in_canonical_form(shape, mixed):
         sub = Subspace.from_vectors(ncols, combos)
         comp = complement_in(sub, within)
         assert comp.basis == tuple(ref_complement(sub.basis, within.basis, ncols))
-        outputs = got + [r for s in (kernel, within, sub, comp) for r in s.rows.values()]
+        outputs = got + [r for s in (null, within, sub, comp) for r in s.rows.values()]
         assert all(canonical(x) for r in outputs for x in r.values())
 
 
@@ -483,7 +478,7 @@ def test_sparse_and_dense_rows_agree():
     assert Subspace.from_vectors(2, [{0: F(0), 1: F(1)}]) == Subspace.from_vectors(
         2, [[F(0), F(1)]]
     )
-    assert Subspace.from_vectors(2, [{0: F(0)}]) == Subspace.zero(2)
+    assert Subspace.from_vectors(2, [{0: F(0)}]) == Subspace(2, {})
     with pytest.raises(ValueError):
         Subspace.from_vectors(3, [{3: F(1)}])
     with pytest.raises(ValueError):
@@ -515,7 +510,73 @@ def test_kernel_of_a_real_differential_matches_dense_reference():
     rows += [{j: 2 * x for j, x in rng.choice(rows).items()} for _ in range(5)]
     rng.shuffle(rows)
     dense = [[row.get(j, F(0)) for j in range(ncols)] for row in rows]
-    kernel = kernel_basis_from_rows(rows, ncols)
-    assert 0 < kernel.dim < ncols
-    assert kernel.basis == tuple(ref_kernel(dense, ncols))
-    assert kernel_basis_from_rows(dense, ncols) == kernel
+    null = kernel_basis(mat(dense, cols=ncols))
+    assert 0 < null.dim < ncols
+    assert null.basis == tuple(ref_kernel(dense, ncols))
+    assert kernel(transpose(rows, ncols)) == null
+
+
+def transpose(rows, ncols):
+    """The columns of a matrix given by sparse rows, keyed by row index."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return columns
+
+
+def ref_kernel_of_columns(columns):
+    """`ref_kernel` of the matrix whose columns are given, with its rows in
+    the sorted order of the keys the columns use."""
+    keys = sorted({key for column in columns for key in column})
+    dense = [[column.get(key, 0) for column in columns] for key in keys]
+    return tuple(tuple(row) for row in ref_kernel(dense, len(columns)))
+
+
+def test_kernel_of_columns_keyed_by_monomial_words():
+    # stage 5 of b2 = 3: degree-7 words of length 2 (x v5, v3 v4) and 3 (x x v3)
+    stage, _, _ = build(algebra_from_split(2, 1), 5)
+    targets = basis(stage.gens, 7)
+    assert len({len(word) for word in targets}) > 1
+    differential = [stage.diff.apply_mono(m).terms for m in basis(stage.gens, 6)]
+    null = kernel(differential)
+    assert 0 < null.dim < len(differential)
+    assert null.basis == ref_kernel_of_columns(differential)
+    rng = random.Random("word-columns")
+    for _ in range(40):
+        columns = [
+            {w: rng.choice([1, -1, 2, F(1, 2), F(-3, 2)])
+             for w in rng.sample(targets, rng.randint(0, 3))}
+            for _ in range(rng.randint(1, 12))
+        ]
+        got = kernel(columns)
+        assert got.basis == ref_kernel_of_columns(columns)
+        assert all(canonical(x) for r in got.rows.values() for x in r.values())
+
+
+def test_kernel_of_degenerate_columns():
+    assert kernel([]) == Subspace(0, {})
+    # all-empty columns: everything is in the kernel
+    assert kernel([{}, {}, {}]) == Subspace(3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}})
+    # a stored zero contributes nothing, even as a column's only entry
+    stored = [{"a": 1, "b": 0}, {"b": 0}, {"a": -1, "c": 0}, {"a": 0, "c": 2}]
+    cleaned = [{k: x for k, x in column.items() if x} for column in stored]
+    assert kernel(stored) == kernel(cleaned) == Subspace(4, {0: {0: 1, 2: 1}, 1: {1: 1}})
+    assert kernel(stored).basis == ref_kernel_of_columns(stored)
+    assert kernel([{0: 0}] * 2).basis == ref_kernel_of_columns([{0: 0}] * 2)
+
+
+def test_kernel_eliminates_once(monkeypatch):
+    calls = []
+    real = linalg._eliminate
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    rng = random.Random("kernel-calls")
+    for n in range(1, 30):
+        ncols = rng.randint(1, 8)
+        kernel(transpose(random_integer_rows(rng, rng.randint(0, 8), ncols, mixed=True), ncols))
+        assert len(calls) == n
