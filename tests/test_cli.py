@@ -570,7 +570,8 @@ def test_verify_single_rank_all_splits(capsys):
 
 
 # sha256 of the stdout of each sweep benchmark command, recorded before
-# `verify_stage` read its ranks through `linalg.kernel`.
+# `_diff_data`, `stage_cohomology` and `verify_stage` moved onto
+# `linalg.kernel` and `Subspace.from_vectors`.
 VERIFY_DIGESTS = {
     "verify --all-splits":
         "ac2ca90a090c74b15df3f9b844fa7bc41e9c28647fb689541c8da4ec88a94dda",

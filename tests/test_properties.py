@@ -167,6 +167,12 @@ def form_texts(draw):
     return text
 
 
+# How an argv that argparse rejects begins its one stderr line.
+ARGPARSE_ERRORS = (
+    "error: argument", "error: unrecognized arguments", "error: the following arguments"
+)
+
+
 def check_contract(code, out, err):
     assert code in (0, 2)
     if code == 2:
@@ -186,7 +192,9 @@ def test_malformed_form_files_exit_zero_or_two(tmp_path, text):
         ("model", "--form", str(path), "--max-degree", "3"),
         ("classify", str(path), "hyperbolic"),
     ):
-        check_contract(*run(*argv))
+        code, out, err = run(*argv)
+        assert not err.startswith(ARGPARSE_ERRORS)  # the argv reached the form reader
+        check_contract(code, out, err)
 
 
 def odd_int(values):
