@@ -183,13 +183,12 @@ def _mismatches(b2: int, engine: RankTable, max_degree: int) -> dict:
     return {r: expected[r] for r, v in engine.ranks.items() if v != expected[r]}
 
 
-def cmd_ranks(args) -> int:
-    label, b2, plus, minus = _resolve_source(args)
+def _print_ranks(args, label: str, b2: int, plus: int, minus: int) -> int:
+    """The rank table of `ranks` and `examples`, for options already checked."""
     formula = closed_form_ranks(b2)
     engine_table = None
     agreement = None
     if args.engine:
-        _check_engine_options(args)
         _, engine_table, _ = build(
             algebra_from_split(plus, minus), args.max_degree, guard=args.guard
         )
@@ -225,6 +224,13 @@ def cmd_ranks(args) -> int:
     if agreement is False:
         return EXIT_VERIFICATION
     return EXIT_OK
+
+
+def cmd_ranks(args) -> int:
+    label, b2, plus, minus = _resolve_source(args)
+    if args.engine:
+        _check_engine_options(args)
+    return _print_ranks(args, label, b2, plus, minus)
 
 
 # ------------------------------------------------------------------- model
@@ -389,14 +395,11 @@ def cmd_examples(args) -> int:
         split = (p, q)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown example {which!r}")
-    args.b2 = b2
-    args.form = None
-    args.split = f"{split[0]},{split[1]}"
     if args.engine:
         _check_engine_options(args)
     if args.format != "json":
-        print(f"{label}")
-    return cmd_ranks(args)
+        print(label)
+    return _print_ranks(args, f"b2={b2}", b2, *split)
 
 
 # ------------------------------------------------------------------- verify

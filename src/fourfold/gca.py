@@ -37,11 +37,11 @@ __all__ = [
     "Generator",
     "GeneratorSet",
     "Mono",
-    "ONE_MONO",
     "Poly",
     "Derivation",
     "DSquaredReport",
     "basis",
+    "basis_count",
     "mul",
     "mono_mul",
     "check_d_squared",
@@ -53,7 +53,6 @@ __all__ = [
 DEFAULT_GUARD = 200_000
 
 Mono = tuple  # ascending word of generator indices
-ONE_MONO: Mono = ()
 
 
 class BasisTooLarge(RuntimeError):
@@ -139,25 +138,30 @@ class GeneratorSet:
         return sum(degs[i] for i in mono)
 
 
-def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
-    """All monomials of the given total degree, in graded-lex order."""
+def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> int:
+    """Number of monomials of the given total degree; BasisTooLarge above the guard."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree == 0:
-        return [ONE_MONO]
-    n = len(gens)
-    degs = gens._degrees
-    odd = gens._odd
-    # Count first, in integers, so the guard trips before any monomial is
-    # built: counts[m] is the number of degree-m monomials in the generators
-    # seen so far; an even generator takes any exponent, an odd one 0 or 1.
+        return 1  # the unit alone, never guarded
+    # counts[m] is the number of degree-m monomials in the generators seen so
+    # far; an even generator takes any exponent, an odd one 0 or 1.
     counts = [1] + [0] * degree
-    for d, o in zip(degs, odd):
+    for d, o in zip(gens._degrees, gens._odd):
         steps = range(degree, d - 1, -1) if o else range(d, degree + 1)
         for m in steps:
             counts[m] += counts[m - d]
     if counts[degree] > guard:
         raise BasisTooLarge(degree, guard)
+    return counts[degree]
+
+
+def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
+    """All monomials of the given total degree, in graded-lex order."""
+    basis_count(gens, degree, guard)  # the guard trips before any monomial is built
+    n = len(gens)
+    degs = gens._degrees
+    odd = gens._odd
     sufmin = gens._suffix_min
     out: list[Mono] = []
     # Depth-first over words, children in ascending index so that the words
@@ -242,10 +246,6 @@ class Poly:
             terms[mono] = terms.get(mono, 0) + coeff
         terms = {m: c for m, c in terms.items() if c}
         return Poly(terms, degree if terms else None)
-
-    @staticmethod
-    def monomial(gens: GeneratorSet, mono: Mono, coeff=1) -> "Poly":
-        return Poly.from_terms(gens, {mono: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms

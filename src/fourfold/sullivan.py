@@ -12,11 +12,11 @@ generators of two kinds:
 
 Because the target differential vanishes, the stage map must kill every z
 exactly; each z is taken from the kernel of that map, and verify_stage()'s
-chain_map check re-checks every generator.  The number of generators
-adjoined in degree r is the rank of the r-th rational homotopy group.
-verify_stage() checks those counts in every degree against ranks that do not
-come from the engine: the loop-space series of the manifold
-(forms.loop_space_ranks, a divisor sum over Lucas numbers).
+chain_map check re-checks every generator, so also that the map kills every
+coboundary.  The number of generators adjoined in degree r is the rank of the
+r-th rational homotopy group.  verify_stage() checks those counts in every
+degree against ranks that do not come from the engine: the loop-space series
+of the manifold (forms.loop_space_ranks, a divisor sum over Lucas numbers).
 
 Target vectors are sparse rows (basis index -> nonzero coefficient), as in
 the linear algebra layer.  The only product the stage map needs is the
@@ -31,7 +31,9 @@ in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
 previous one and eliminates exactly one new differential, the one on the
 cochains two degrees above the new stage, once (linalg.kernel), for both its
-kernel and its image.
+kernel and its image.  One routine reads H^n off that data for the verifier
+(stage_cohomology) and for the construction, which keeps the H^{k+2} classes
+the stage map kills.  The guard counts, never builds, the degree d lands in.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .gca import (
     GeneratorSet,
     Poly,
     basis,
+    basis_count,
     check_d_squared,
 )
 from .linalg import NotContained, Subspace, complement_in, kernel
@@ -178,14 +181,6 @@ class MinimalModelStage:
         return RankTable({r: counts.get(r, 0) for r in range(2, self.k + 1)}, False)
 
 
-def _coboundaries(image: Sequence[Poly], blist) -> Subspace:
-    """Span of the image polynomials, in coordinates over `blist`."""
-    index = {m: i for i, m in enumerate(blist)}
-    return Subspace.from_vectors(
-        len(blist), [{index[m]: c for m, c in p.terms.items()} for p in image]
-    )
-
-
 def _vector_poly(row: dict, blist, degree: int) -> Poly:
     return Poly({blist[j]: c for j, c in row.items()}, degree)
 
@@ -203,13 +198,26 @@ def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
     if cached is not None:
         return cached
     blist = basis(stage.gens, n, guard) if n >= 0 else []
-    basis(stage.gens, n + 1, guard)  # the guard covers the degree d lands in, too
+    basis_count(stage.gens, n + 1, guard)  # the guard covers the degree d lands in, too
     col_polys = [stage.diff.apply_mono(m) for m in blist]
     cocycles = kernel([p.terms for p in col_polys])
     image = tuple(p for j, p in enumerate(col_polys) if j not in cocycles.rows)
     data = _DiffData(tuple(blist), cocycles, image)
     stage._data[n] = data
     return data
+
+
+def _cohomology(stage: MinimalModelStage, n: int, guard: int) -> tuple[_DiffData, list]:
+    """The degree-n data and the cocycle rows complementing the coboundaries (H^n).
+
+    Raises NotContained if some coboundary is not a cocycle.
+    """
+    here = _diff_data(stage, n, guard)
+    below = _diff_data(stage, n - 1, guard)
+    index = {m: i for i, m in enumerate(here.blist)}
+    rows = [{index[m]: c for m, c in p.terms.items()} for p in below.image]
+    boundaries = Subspace.from_vectors(len(here.blist), rows)
+    return here, list(complement_in(boundaries, here.kernel).rows.values())
 
 
 def init_stage(algebra: CohomologyAlgebra) -> MinimalModelStage:
@@ -234,7 +242,6 @@ def extend_stage(
     gens = stage.gens
     k = stage.k
     low = _diff_data(stage, k + 1, guard)
-    high = _diff_data(stage, k + 2, guard)
 
     # Closed generators: the unit vectors at the non-pivot columns of the image
     # of the stage map, a complement of it in the degree-(k+1) target.
@@ -249,24 +256,18 @@ def extend_stage(
     else:
         y_images = []
 
-    # Exact generators: a complement of the coboundaries inside the
-    # degree-(k+2) cocycles that the stage map sends to zero.
-    boundary_sub = _coboundaries(low.image, high.blist)
+    # Exact generators: the degree-(k+2) cohomology classes that the stage
+    # map sends to zero.
+    high, classes = _cohomology(stage, k + 2, guard)
     if algebra.dim(k + 2):
-        zvecs = list(high.kernel.rows.values())
         combos = kernel([
             stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2)
-            for z in zvecs
+            for z in classes
         ])
-        vanishing = Subspace.from_vectors(
-            len(high.blist), [_combine(c, zvecs) for c in combos.rows.values()]
-        )
-    else:
-        vanishing = high.kernel
-    z_polys = [
-        _vector_poly(v, high.blist, k + 2)
-        for v in complement_in(boundary_sub, vanishing).rows.values()
-    ]
+        classes = Subspace.from_vectors(
+            len(high.blist), [_combine(c, classes) for c in combos.rows.values()]
+        ).rows.values()
+    z_polys = [_vector_poly(v, high.blist, k + 2) for v in classes]
 
     degree = k + 1
     new_gens = [Generator(f"u{degree}_{i + 1}", degree) for i in range(len(y_images))]
@@ -294,16 +295,9 @@ def extend_stage(
 def stage_cohomology(
     stage: MinimalModelStage, n: int, guard: int = DEFAULT_GUARD
 ) -> list:
-    """Cocycle representatives that project to a basis of H^n of the stage."""
-    if n == 0:
-        return [Poly.monomial(stage.gens, ())]
-    here = _diff_data(stage, n, guard)
-    below = _diff_data(stage, n - 1, guard)
-    boundary_sub = _coboundaries(below.image, here.blist)
-    return [
-        _vector_poly(v, here.blist, n)
-        for v in complement_in(boundary_sub, here.kernel).rows.values()
-    ]
+    """Cocycle representatives of a basis of H^n, as the construction reads it."""
+    here, rows = _cohomology(stage, n, guard)
+    return [_vector_poly(v, here.blist, n) for v in rows]
 
 
 def build(

@@ -291,6 +291,26 @@ def test_model_json_matches_the_reference_on_random_rational_coefficients():
     assert text == json_reference.model_text(scaled, table, meta)
 
 
+# sha256 of `model ... --format json` for deep cells outside the golden grid,
+# recorded before H^{k+2} of the construction came from the verifier's
+# cohomology routine.
+DEEP_DIGESTS = {
+    "--b2 3 --split 1,2 --max-degree 8":
+        "c3501ab2de590828428751dc8a36ada49da4e19567bf7d462993751f3ebb6602",
+    "--b2 4 --max-degree 6":
+        "dd9f9392e2aad0bfdfb8e6fa88708a1778a7a5aea0127bb534fd0848a5498119",
+    "--b2 7 --split 4,3 --max-degree 5":
+        "cb63a5ad30ef9b1f92c031e2d24af521a909b4b8f62c1c17c1538b8017b72b63",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(DEEP_DIGESTS))
+def test_deep_model_json_is_byte_identical(capsys, cell):
+    code, out, err = run(capsys, "model", *cell.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_DIGESTS[cell]
+
+
 def test_model_json_never_runs_the_pure_python_encoder(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder ran")
@@ -427,6 +447,20 @@ def test_examples_connected_sum(capsys):
     assert "5   10" in out
 
 
+def test_examples_checks_its_options_once_and_keeps_its_arguments(capsys, monkeypatch):
+    checks = []
+    real = cli._check_engine_options
+    monkeypatch.setattr(cli, "_check_engine_options", lambda a: checks.append(1) or real(a))
+    args = cli.build_parser().parse_args(
+        ["examples", "connected-sum", "2,1", "--engine", "--max-degree", "4"]
+    )
+    before = dict(vars(args))
+    assert args.func(args) == 0
+    assert vars(args) == before
+    assert checks == [1]
+    assert capsys.readouterr().out.startswith("#2 CP^2 # 1 CP^2-bar (b2=3)\n")
+
+
 def test_examples_bad_parameters(capsys):
     code, _, err = run(capsys, "examples", "hypersurface", "zero")
     assert code == 2
@@ -542,6 +576,13 @@ def test_guard_at_degree_four_keeps_partial_ranks(capsys):
     assert err == "error: monomial basis in degree 4 exceeds the guard limit 200000\n"
 
 
+def test_guard_zero_leaves_degree_zero_unguarded(capsys):
+    # H^0 needs the degree-0 basis, the unit, which no guard limits
+    code, out, err = run(capsys, "verify", "--b2", "0", "--guard", "0", "--max-degree", "3")
+    assert (code, err) == (0, "")
+    assert out == "  [PASS] b2=0 split (0,0)  ranks {2:0, 3:0}\nall checks passed\n"
+
+
 def test_k3_guard_trips_in_degree_seven_within_64_mib(capsys):
     # The degree-6 basis (111090 monomials) passes the guard and is built
     # before the degree-7 count trips it; its words must stay small.
@@ -601,7 +642,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         # the fundamental class instead of zero
         stage, table, reports = build(algebra, max_degree, guard=guard)
         gens = stage.gens
-        x1 = Poly.monomial(gens, (gens.index("x1"),))
+        x1 = Poly.from_terms(gens, {(gens.index("x1"),): 1})
         images = list(stage.diff.images)
         images[gens.index("v3_1")] = mul(gens, x1, x1)
         broken = MinimalModelStage(

@@ -309,12 +309,17 @@ def test_one_elimination_per_differential(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
+    # and one basis: the guard on the degree d lands in counts it, never builds it
+    bases = []
+    real_basis = sullivan.basis
+    monkeypatch.setattr(sullivan, "basis", lambda *a: bases.append(a[1]) or real_basis(*a))
     for n in range(9):
         before = len(calls)
         data = sullivan._diff_data(stage, n, DEFAULT_GUARD)
         assert len(calls) == before + 1, f"degree {n}"
         assert sullivan._diff_data(stage, n, DEFAULT_GUARD) is data
         assert len(calls) == before + 1, f"degree {n}, cached"
+    assert bases == list(range(9))
     assert stage._data[8].kernel.dim  # a nontrivial kernel among them
 
 
