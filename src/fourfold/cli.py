@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from itertools import groupby
 
 from . import forms
@@ -483,7 +484,9 @@ def _add_engine_options(sub, default_degree: int = 5) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it is."""
     parser = _Parser(
         prog="fourfold",
         description=(

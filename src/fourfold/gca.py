@@ -39,12 +39,10 @@ __all__ = [
     "Mono",
     "Poly",
     "Derivation",
-    "DSquaredReport",
     "basis",
     "basis_count",
     "mul",
     "mono_mul",
-    "check_d_squared",
     "decomposable_subspace",
     "format_poly",
     "format_mono",
@@ -394,28 +392,6 @@ class Derivation:
                 acc[m] = acc.get(m, 0) + coeff * c
         acc = {m: c for m, c in acc.items() if c}
         return Poly(acc, poly.degree + 1) if acc else Poly()
-
-
-@dataclass(frozen=True)
-class DSquaredReport:
-    ok: bool
-    witness: str | None = None
-    value: Poly | None = None
-
-
-def check_d_squared(gens: GeneratorSet, deriv: Derivation) -> DSquaredReport:
-    """Check D(D(x)) = 0 on every generator x.
-
-    D has odd degree, so D^2 = [D, D] / 2 is a derivation; it vanishes on the
-    whole algebra exactly when it vanishes on the generators.
-    """
-    for g, img in zip(gens, deriv.images):
-        if img.is_zero():
-            continue
-        sq = deriv.apply(img)
-        if not sq.is_zero():
-            return DSquaredReport(False, g.name, sq)
-    return DSquaredReport(True)
 
 
 def decomposable_subspace(

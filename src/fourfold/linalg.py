@@ -9,13 +9,13 @@ n x 0) are legal everywhere.
 Rows are sparse: dicts from column index to nonzero value.  One routine,
 `_eliminate`, reduces rows against echelon rows keyed by pivot column,
 lowest pivot first, then back-substitutes; rank, kernels, complements and
-membership all go through it.  Reduced echelon bases are unique, so results
-depend only on the column order, never on the row order.  `kernel` is the
-one kernel entry point: it takes the columns of a map, transposes them into
-rows with the columns reversed and eliminates once; the kernel vectors read
-off that form are already in reduced echelon form in the original order.
-`Subspace.from_vectors` takes sparse or dense rows, and `Subspace.basis`
-gives dense tuples.  `QMatrix`, a dense matrix with a transpose and a
+membership (`Subspace.contains`) all go through it.  Reduced echelon bases
+are unique, so results depend only on the column order, never on the row
+order.  `kernel` is the one kernel entry point: it takes the columns of a
+map, transposes them into rows with the columns reversed and eliminates
+once; the kernel vectors read off that form are already in reduced echelon
+form in the original order.  `Subspace.from_vectors` takes sparse or dense
+rows, and `Subspace.basis` gives dense tuples.  `QMatrix`, a dense matrix with a transpose and a
 product, is used by no other module of the package; the acceptance suite
 builds unimodular congruences U^T S U with it.
 """
@@ -227,6 +227,10 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace({self.ambient_dim}, {self.rows!r})"
 
+    def contains(self, vector: dict) -> bool:
+        """Whether the sparse row `vector` lies in the subspace."""
+        return not _reduce(dict(vector), self.rows)
+
 
 def kernel(columns: Sequence[dict]) -> Subspace:
     """Kernel of the map that sends basis vector j to `columns[j]`.
@@ -267,7 +271,7 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
     if sub.ambient_dim != within.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     for row in sub.rows.values():
-        if _reduce(dict(row), within.rows):
+        if not within.contains(row):
             raise NotContained("subspace is not contained in the ambient one")
     kept = {p: row for p, row in within.rows.items() if p not in sub.rows}
     return Subspace(sub.ambient_dim, kept)

@@ -31,9 +31,18 @@ in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
 previous one and eliminates exactly one new differential, the one on the
 cochains two degrees above the new stage, once (linalg.kernel), for both its
-kernel and its image.  One routine reads H^n off that data for the verifier
-(stage_cohomology) and for the construction, which keeps the H^{k+2} classes
-the stage map kills.  The guard counts, never builds, the degree d lands in.
+kernel and its image.  The degree of the new generators gains one column per
+generator, and the step carries that degree's data on with those columns
+appended rather than dropping it: the closed generators join the kernel as
+unit rows and the differentials z of the others join the image.  That is the
+fresh elimination's result exactly when the z are independent modulo the
+coboundaries, which the step checks in time linear in their nonzeros, else
+it leaves the degree to be eliminated afresh.  One routine reads H^n off that
+data for the verifier (stage_cohomology) and for the construction, which
+keeps the H^{k+2} classes the stage map kills.  The verifier also tests
+d(dx) = 0 as membership of dx in the cached cocycles of its degree, so after
+build() it differentiates no word above degree 2.  The guard counts, never
+builds, the degree d lands in.
 """
 
 from __future__ import annotations
@@ -52,9 +61,8 @@ from .gca import (
     Poly,
     basis,
     basis_count,
-    check_d_squared,
 )
-from .linalg import NotContained, Subspace, complement_in, kernel
+from .linalg import NotContained, Subspace, complement_in, exact, kernel
 
 __all__ = [
     "NotSimplyConnected",
@@ -127,6 +135,9 @@ class _DiffData:
     `kernel` is the cocycle subspace in coordinates over `blist`; `image`
     holds the differentials of the basis monomials that are not free columns
     of the kernel, an independent basis of the coboundaries one degree up.
+    A step that adjoins generators of this degree appends their one-letter
+    words to `blist`, unit rows for the closed ones to `kernel` and the
+    differentials of the others to `image` (see extend_stage).
     """
 
     blist: tuple
@@ -186,11 +197,11 @@ def _vector_poly(row: dict, blist, degree: int) -> Poly:
 
 
 def _combine(combo: dict, rows: Sequence[dict]) -> dict:
-    """The sparse row sum of combo[i] * rows[i]."""
+    """The sparse row sum of combo[i] * rows[i], in the form of linalg.exact."""
     acc: dict = {}
     for i, coeff in combo.items():
         _add_scaled(acc, coeff, rows[i])
-    return acc
+    return {j: exact(x) for j, x in acc.items()}
 
 
 def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
@@ -207,17 +218,21 @@ def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
     return data
 
 
-def _cohomology(stage: MinimalModelStage, n: int, guard: int) -> tuple[_DiffData, list]:
-    """The degree-n data and the cocycle rows complementing the coboundaries (H^n).
+def _cohomology(
+    stage: MinimalModelStage, n: int, guard: int
+) -> tuple[_DiffData, list, Subspace]:
+    """The degree-n data, the rows of H^n and the coboundaries B^n.
 
-    Raises NotContained if some coboundary is not a cocycle.
+    The H^n rows are the cocycle rows that complement B^n.  Raises
+    NotContained if some coboundary is not a cocycle.
     """
     here = _diff_data(stage, n, guard)
     below = _diff_data(stage, n - 1, guard)
     index = {m: i for i, m in enumerate(here.blist)}
     rows = [{index[m]: c for m, c in p.terms.items()} for p in below.image]
     boundaries = Subspace.from_vectors(len(here.blist), rows)
-    return here, list(complement_in(boundaries, here.kernel).rows.values())
+    classes = list(complement_in(boundaries, here.kernel).rows.values())
+    return here, classes, boundaries
 
 
 def init_stage(algebra: CohomologyAlgebra) -> MinimalModelStage:
@@ -236,7 +251,19 @@ def init_stage(algebra: CohomologyAlgebra) -> MinimalModelStage:
 def extend_stage(
     stage: MinimalModelStage, guard: int = DEFAULT_GUARD
 ) -> tuple[MinimalModelStage, StageReport]:
-    """One construction step: stage k to stage k+1."""
+    """One construction step: stage k to stage k+1.
+
+    The successor keeps the cached data of every degree the new generators
+    leave alone, and gets degree k+1 with their columns appended.  The
+    new words sort after the old ones, so no old column moves; the unit rows
+    at the closed u columns keep the kernel basis reduced; and the kernel
+    gains nothing else exactly when no nonzero combination of the v
+    differentials z is a coboundary.  That holds when each z row vanishes on
+    the pivot columns of B^{k+2} and no two lead at one column: a nonzero
+    combination is then nonzero at its first lead and vanishes on those
+    pivots, so it lies outside B^{k+2}.  The step checks both conditions and
+    otherwise leaves degree k+1 to be eliminated afresh.
+    """
     started = time.perf_counter()
     algebra = stage.algebra
     gens = stage.gens
@@ -258,15 +285,16 @@ def extend_stage(
 
     # Exact generators: the degree-(k+2) cohomology classes that the stage
     # map sends to zero.
-    high, classes = _cohomology(stage, k + 2, guard)
+    high, classes, boundaries = _cohomology(stage, k + 2, guard)
     if algebra.dim(k + 2):
         combos = kernel([
             stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2)
             for z in classes
         ])
-        classes = Subspace.from_vectors(
-            len(high.blist), [_combine(c, classes) for c in combos.rows.values()]
-        ).rows.values()
+        # Both bases are reduced, so the combinations are the reduced echelon
+        # basis of their span: row c leads with 1 where its free column's
+        # class does and vanishes at every other kept class's pivot.
+        classes = [_combine(c, classes) for c in combos.rows.values()]
     z_polys = [_vector_poly(v, high.blist, k + 2) for v in classes]
 
     degree = k + 1
@@ -281,6 +309,19 @@ def extend_stage(
     # created: appending degree-(k+1) generators only touches degree k+1
     # itself and degrees >= k+3.
     carried = {n: d for n, d in stage._data.items() if n <= k or n == k + 2}
+    # Carry degree k+1 only if the z rows are independent modulo B^{k+2}.
+    leads = {min(z) for z in classes}
+    if len(leads) == len(classes) and not any(
+        j in boundaries.rows for z in classes for j in z
+    ):
+        width = len(low.blist)
+        cocycles = dict(low.kernel.rows)
+        cocycles.update((width + i, {width + i: 1}) for i in range(len(y_images)))
+        carried[k + 1] = _DiffData(
+            low.blist + tuple((len(gens) + i,) for i in range(len(new_gens))),
+            Subspace(width + len(new_gens), cocycles),
+            low.image + tuple(z_polys),
+        )
     successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, carried)
     report = StageReport(
         k=k + 1,
@@ -296,7 +337,7 @@ def stage_cohomology(
     stage: MinimalModelStage, n: int, guard: int = DEFAULT_GUARD
 ) -> list:
     """Cocycle representatives of a basis of H^n, as the construction reads it."""
-    here, rows = _cohomology(stage, n, guard)
+    here, rows, _ = _cohomology(stage, n, guard)
     return [_vector_poly(v, here.blist, n) for v in rows]
 
 
@@ -350,21 +391,39 @@ class VerifyReport:
 def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> VerifyReport:
     """Run the full invariant suite on a stage.
 
-    Checks: the differential squares to zero, differentials land in the
-    decomposable part, the stage map is a chain map and induces cohomology
-    isomorphisms through degree k, and the generator count of every degree
-    2..k equals the rank that the loop-space series gives for b2.  The
-    cohomology check alone misses a dropped degree-k generator with nonzero
-    differential, because the class it kills lives in degree k + 1; the
-    count check catches it.
+    Checks: the differential squares to zero (each dx lies in the cocycles
+    of its degree), differentials land in the decomposable part, the stage
+    map is a chain map and induces cohomology isomorphisms through degree k,
+    and the generator count of every degree 2..k equals the rank that the
+    loop-space series gives for b2.  The cohomology check alone misses a
+    dropped degree-k generator with nonzero differential, because the class
+    it kills lives in degree k + 1; the count check catches it.
     """
     algebra = stage.algebra
     gens = stage.gens
     checks: list[CheckResult] = []
 
-    report = check_d_squared(gens, stage.diff)
-    detail = "" if report.ok else f"d(d({report.witness})) != 0"
-    checks.append(CheckResult("d_squared", report.ok, detail))
+    # D^2 = [D, D] / 2 is a derivation, so it vanishes when it vanishes on
+    # the generators; d(dx) = 0 says dx is a cocycle of degree |x| + 1.
+    indices: dict = {}
+    bad_square = None
+    for g, img in zip(gens, stage.diff.images):
+        if img.is_zero():
+            continue
+        cochains = _diff_data(stage, g.degree + 1, guard)
+        index = indices.get(g.degree)
+        if index is None:
+            index = indices[g.degree] = {m: i for i, m in enumerate(cochains.blist)}
+        if not cochains.kernel.contains({index[m]: c for m, c in img.terms.items()}):
+            bad_square = g.name
+            break
+    checks.append(
+        CheckResult(
+            "d_squared",
+            bad_square is None,
+            "" if bad_square is None else f"d(d({bad_square})) != 0",
+        )
+    )
 
     witness = stage.diff.minimality_witness()
     checks.append(

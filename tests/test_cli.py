@@ -671,6 +671,15 @@ def test_verify_default_range(capsys):
     assert "all checks passed" in out
 
 
+def test_one_parser_serves_every_call_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    alone = run(capsys, "ranks", "--b2", "3")
+    assert run(capsys, "ranks", "--b2", "3", "--engine", "--max-degree", "3")[0] == 0
+    assert run(capsys, "ranks", "--b2", "3") == alone
+    assert run(capsys, "ranks", "--b2", "x")[0] == 2  # a rejected token, then
+    assert run(capsys, "ranks", "--b2", "3") == alone
+
+
 def test_output_is_deterministic_across_runs(capsys):
     first = run(capsys, "model", "--b2", "3", "--split", "2,1", "--format", "json")
     second = run(capsys, "model", "--b2", "3", "--split", "2,1", "--format", "json")

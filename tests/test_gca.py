@@ -13,7 +13,6 @@ from fourfold.gca import (
     Poly,
     basis,
     basis_count,
-    check_d_squared,
     decomposable_subspace,
     format_poly,
     mono_mul,
@@ -21,6 +20,7 @@ from fourfold.gca import (
 )
 from fourfold.linalg import Subspace
 
+from d_squared_reference import check_d_squared
 from dense_reference import dense_basis, dense_mono_mul, to_word
 
 F = Fraction

@@ -185,6 +185,30 @@ def test_complement_not_contained():
         complement_in(sub, within)
 
 
+def test_membership_matches_the_rank_test():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        sub = Subspace.from_vectors(
+            n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        )
+        if rng.random() < 0.5:
+            # a combination of the basis rows, with rational coefficients
+            dense = [0] * n
+            for row in sub.basis:
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                dense = [x + c * y for x, y in zip(dense, row)]
+        else:
+            dense = [rng.randint(-2, 2) for _ in range(n)]
+        vector = {j: x for j, x in enumerate(dense) if x}
+        before = dict(vector)
+        assert sub.contains(vector) == contains(sub, dense)
+        assert vector == before  # the row is left as it was
+        seen.add(sub.contains(vector))
+    assert seen == {True, False}
+
+
 # ------------------------------------------------- congruence diagonalization
 
 

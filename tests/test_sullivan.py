@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from fourfold.sullivan import (
     stage_cohomology,
     verify_stage,
 )
+from d_squared_reference import check_d_squared
 from fraction_reference import kernel_basis
 from test_gca import gen
 from test_linalg import canonical
@@ -460,3 +462,139 @@ def test_model_coefficients_are_ints_or_proper_fractions(split, max_degree):
         c for data in stage._data.values() for p in data.image for c in p.terms.values()
     ]
     assert not any(isinstance(x, float) for x in others)
+
+
+def test_kill_step_combinations_are_in_exact_form():
+    # An integral sum of Fractions stays a Fraction unless put through exact.
+    row = sullivan._combine({0: F(1, 2), 1: 1}, [{0: 2, 1: 4}, {1: -1, 2: F(3, 2)}])
+    assert row == {0: 1, 1: 1, 2: F(3, 2)}
+    assert all(canonical(x) for x in row.values())
+
+
+# ---------------------------------------------------------- carried degree data
+
+
+@pytest.mark.parametrize(
+    "split,max_degree", COEFFICIENT_CELLS, ids=lambda c: str(c).replace(" ", "")
+)
+def test_carried_degree_data_matches_a_fresh_elimination(split, max_degree):
+    stage, _, _ = build(algebra_from_split(*split), max_degree)
+    fresh = MinimalModelStage(stage.algebra, stage.gens, stage.diff, stage.qm, stage.k)
+    assert max_degree in stage._data  # the top degree, carried by the last step
+    for n, data in stage._data.items():
+        again = sullivan._diff_data(fresh, n, DEFAULT_GUARD)
+        assert data.blist == again.blist, f"degree {n}"
+        assert data.kernel == again.kernel, f"degree {n}"
+        assert data.image == again.image, f"degree {n}"
+
+
+@pytest.mark.parametrize("split,max_degree", [((3, 0), 5), ((1, 2), 8), ((0, 0), 9)])
+def test_verify_after_build_differentiates_no_word_above_degree_two(
+    monkeypatch, split, max_degree
+):
+    stage, _, _ = build(algebra_from_split(*split), max_degree)
+    degrees = []
+    real = Derivation.apply_mono
+
+    def spy(self, mono):
+        degrees.append(self.gens.monomial_degree(mono))
+        return real(self, mono)
+
+    monkeypatch.setattr(Derivation, "apply_mono", spy)
+    assert verify_stage(stage).ok
+    assert degrees and max(degrees) <= 2
+
+
+def test_carry_refuses_a_coboundary_among_the_top_z(monkeypatch):
+    # The last step of b2=3 at D=5 adjoins degree-5 generators v with dv = z
+    # in degree 6.  If one z is a coboundary db, then v - b is a new cocycle
+    # and H^5 gains a class.  Degree 5 may be carried only after a check that
+    # the z rows are independent modulo B^6; without it the carried kernel
+    # would hide that class and the stage would pass.
+    real = sullivan._cohomology
+
+    def swapped(stage, n, guard):
+        here, classes, boundaries = real(stage, n, guard)
+        if n == 6:
+            classes = [next(iter(boundaries.rows.values()))] + classes[1:]
+        return here, classes, boundaries
+
+    monkeypatch.setattr(sullivan, "_cohomology", swapped)
+    stage, _, _ = build(algebra_from_split(3, 0), max_degree=5)
+    failed = {c.name: c.detail for c in verify_stage(stage).failures()}
+    assert failed == {"cohomology_isomorphism": "H^5: stage 1 vs target 0"}
+
+
+# ------------------------------------------------ d^2 = 0 against the reference
+
+
+def _broken_stages():
+    """Stages whose differential the test_verify_detects_* cases break."""
+    stage, _, _ = build(algebra_from_split(3, 0), max_degree=4)
+    gens = stage.gens
+    v = next(g for g in gens if g.degree == 3)
+    w = next(g for g in gens if g.degree == 4)
+    x1 = gen(gens, "x1")
+    for i, image in [
+        (gens.index(w.name), mul(gens, x1, gen(gens, v.name))),
+        (gens.index(v.name), gen(gens, w.name)),
+        (gens.index(v.name), mul(gens, x1, x1)),
+    ]:
+        images = list(stage.diff.images)
+        images[i] = image
+        yield MinimalModelStage(
+            stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
+        )
+    for b2, split, degrees in DROP_CELLS:
+        r = degrees[-1]
+        stage, _, _ = build(algebra_from_split(*split), max_degree=r)
+        gens = GeneratorSet(stage.gens.generators[:-1])
+        yield MinimalModelStage(
+            stage.algebra,
+            gens,
+            Derivation(gens, stage.diff.images[:-1]),
+            QuasiMorphism(stage.qm.images[:-1]),
+            r,
+        )
+
+
+def _mutated_stages(seed):
+    """Built stages with one or two images changed by a random polynomial."""
+    rng = random.Random(seed)
+    for split, max_degree in [((3, 0), 5), ((1, 2), 6), ((2, 2), 5), ((0, 0), 7)]:
+        stage, _, _ = build(algebra_from_split(*split), max_degree)
+        gens = stage.gens
+        targets = [i for i, g in enumerate(gens) if g.degree >= 3]
+        for _ in range(4):
+            images = list(stage.diff.images)
+            for i in rng.sample(targets, min(len(targets), rng.choice((1, 2)))):
+                degree = gens[i].degree
+                products = [m for m in basis(gens, degree) if len(m) > 1]
+                if products and rng.random() < 0.5:
+                    # a coboundary: d of a product of lower-degree generators
+                    shift = stage.diff.apply_mono(rng.choice(products))
+                else:
+                    words = [m for m in basis(gens, degree + 1) if len(m) > 1]
+                    shift = Poly.from_terms(gens, {
+                        m: F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+                        for m in rng.sample(words, min(len(words), 3))
+                    })
+                images[i] = images[i] + shift
+            yield MinimalModelStage(
+                stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
+            )
+
+
+def test_d_squared_verdict_and_witness_match_the_reference():
+    fresh = [
+        build(algebra_from_split(*split), max_degree)[0]
+        for split, max_degree in COEFFICIENT_CELLS
+    ]
+    verdicts = []
+    for stage in fresh + list(_broken_stages()) + list(_mutated_stages(15)):
+        expected = check_d_squared(stage.gens, stage.diff)
+        check = next(c for c in verify_stage(stage).checks if c.name == "d_squared")
+        detail = "" if expected.ok else f"d(d({expected.witness})) != 0"
+        assert (check.passed, check.detail) == (expected.ok, detail)
+        verdicts.append(expected.ok)
+    assert verdicts.count(False) >= 5 and verdicts.count(True) > len(fresh)
