@@ -31,7 +31,7 @@ from .forms import (
     closed_form_ranks,
     complete_intersection_b2,
     hypersurface_b2,
-    loop_space_ranks,
+    loop_space_mismatches,
     make_form,
     rationally_equivalent,
 )
@@ -97,13 +97,8 @@ def _resolve_form_source(text: str) -> tuple[IntersectionForm, str]:
         except ValueError as exc:
             raise InputError(f"bad diagonal form {text!r}: {exc}") from exc
     if key.startswith("sum:"):
-        try:
-            p, q = (int(x) for x in text[4:].split(","))
-            if p < 0 or q < 0:
-                raise ValueError("negative counts")
-            return forms.connected_sum_form(p, q), f"#{p} CP^2 # {q} CP^2-bar"
-        except ValueError as exc:
-            raise InputError(f"bad connected sum {text!r}: {exc}") from exc
+        p, q = _parse_split(text[4:], "sum:p,q")
+        return forms.connected_sum_form(p, q), f"#{p} CP^2 # {q} CP^2-bar"
     return _load_form_file(text)
 
 
@@ -178,12 +173,6 @@ def _rank_rows(formula: RankTable, engine: RankTable | None):
     return rows
 
 
-def _mismatches(b2: int, engine: RankTable, max_degree: int) -> dict:
-    """Engine degrees whose rank differs from the loop-space series: r -> series rank."""
-    expected = loop_space_ranks(b2, max_degree)
-    return {r: expected[r] for r, v in engine.ranks.items() if v != expected[r]}
-
-
 def _print_ranks(args, label: str, b2: int, plus: int, minus: int) -> int:
     """The rank table of `ranks` and `examples`, for options already checked."""
     formula = closed_form_ranks(b2)
@@ -193,7 +182,7 @@ def _print_ranks(args, label: str, b2: int, plus: int, minus: int) -> int:
         _, engine_table, _ = build(
             algebra_from_split(plus, minus), args.max_degree, guard=args.guard
         )
-        bad = _mismatches(b2, engine_table, args.max_degree)
+        bad = loop_space_mismatches(b2, engine_table.ranks)
         agreement = not bad
     rows = _rank_rows(formula, engine_table)
     if args.format == "json":
@@ -301,7 +290,7 @@ def cmd_model(args) -> int:
             print(f"  {g.name} (degree {g.degree})  d = {format_poly(stage.gens, image)}")
         ranks = ", ".join(f"pi_{r}={v}" for r, v in sorted(table.ranks.items()))
         print(f"  ranks: {ranks}")
-    bad = _mismatches(b2, table, args.max_degree)
+    bad = loop_space_mismatches(b2, table.ranks)
     if bad:
         r = min(bad)
         print(

@@ -4,9 +4,10 @@ An intersection form is a symmetric unimodular integer matrix; rank,
 signature and determinant are computed exactly, in integers, by
 fraction-free symmetric elimination.  From the form we present the rational
 cohomology algebra by its diagonalized pairing (degrees 0, 2 and 4, zero
-differential), take the homotopy ranks from one divisor sum, and classify
-rational homotopy type by rank and signature.  A small catalog covers the
-classical examples: complex projective hypersurfaces, complete
+differential), take the homotopy ranks from one divisor sum and compare an
+engine's ranks with them in one verdict (`loop_space_mismatches`), and
+classify rational homotopy type by rank and signature.  A small catalog
+covers the classical examples: complex projective hypersurfaces, complete
 intersections, the K3 surface and connected sums of projective planes.
 """
 
@@ -27,6 +28,7 @@ __all__ = [
     "algebra_from_split",
     "closed_form_ranks",
     "loop_space_ranks",
+    "loop_space_mismatches",
     "hypersurface_b2",
     "complete_intersection_b2",
     "rationally_equivalent",
@@ -321,6 +323,12 @@ def loop_space_ranks(b2: int, max_degree: int) -> dict[int, int]:
         ranks[n + 1] = sign * a
         lucas, prev = b2 * lucas - prev, lucas
     return ranks
+
+
+def loop_space_mismatches(b2: int, ranks: Mapping[int, int]) -> dict[int, int]:
+    """Each degree r >= 2 of `ranks` whose rank differs from the series: r -> series rank."""
+    expected = loop_space_ranks(b2, max(ranks, default=1))
+    return {r: expected[r] for r, v in ranks.items() if v != expected[r]}
 
 
 def hypersurface_b2(d: int) -> int:

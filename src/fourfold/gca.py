@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Subspace, exact
+from .linalg import Subspace, add_scaled, exact
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -258,13 +258,7 @@ class Poly:
             return self
         if self.degree != other.degree:
             raise ValueError("cannot add polynomials of different degrees")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = terms.get(m, 0) + c
-            if nc:
-                terms[m] = nc
-            elif m in terms:
-                del terms[m]
+        terms = add_scaled(dict(self.terms), 1, other.terms)
         return Poly(terms, self.degree if terms else None)
 
     def __neg__(self) -> "Poly":
@@ -388,9 +382,7 @@ class Derivation:
     def apply(self, poly: Poly) -> Poly:
         acc: dict = {}
         for mono, coeff in poly.terms.items():
-            for m, c in self.apply_mono(mono).terms.items():
-                acc[m] = acc.get(m, 0) + coeff * c
-        acc = {m: c for m, c in acc.items() if c}
+            add_scaled(acc, coeff, self.apply_mono(mono).terms)
         return Poly(acc, poly.degree + 1) if acc else Poly()
 
 

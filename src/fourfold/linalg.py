@@ -14,8 +14,9 @@ are unique, so results depend only on the column order, never on the row
 order.  `kernel` is the one kernel entry point: it takes the columns of a
 map, transposes them into rows with the columns reversed and eliminates
 once; the kernel vectors read off that form are already in reduced echelon
-form in the original order.  `Subspace.from_vectors` takes sparse or dense
-rows, and `Subspace.basis` gives dense tuples.  `QMatrix`, a dense matrix with a transpose and a
+form in the original order.  `add_scaled`, acc += c * row in place, is the
+one sparse accumulate outside elimination.  `Subspace.from_vectors` takes
+sparse or dense rows, and `Subspace.basis` gives dense tuples.  `QMatrix`, a dense matrix with a transpose and a
 product, is used by no other module of the package; the acceptance suite
 builds unimodular congruences U^T S U with it.
 """
@@ -34,6 +35,7 @@ __all__ = [
     "kernel",
     "complement_in",
     "exact",
+    "add_scaled",
 ]
 
 
@@ -48,6 +50,17 @@ def exact(x) -> int | Fraction:
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def add_scaled(acc: dict, coeff, row: dict) -> dict:
+    """acc += coeff * row on sparse rows, in place; an entry that cancels is deleted."""
+    for j, x in row.items():
+        s = acc.get(j, 0) + coeff * x
+        if s:
+            acc[j] = s
+        elif j in acc:
+            del acc[j]
+    return acc
 
 
 def _fraction_row(row: Iterable) -> tuple[Fraction, ...]:

@@ -15,8 +15,9 @@ exactly; each z is taken from the kernel of that map, and verify_stage()'s
 chain_map check re-checks every generator, so also that the map kills every
 coboundary.  The number of generators adjoined in degree r is the rank of the
 r-th rational homotopy group.  verify_stage() checks those counts in every
-degree against ranks that do not come from the engine: the loop-space series
-of the manifold (forms.loop_space_ranks, a divisor sum over Lucas numbers).
+degree against ranks that do not come from the engine, through the one
+verdict the command line uses too: forms.loop_space_mismatches, against the
+loop-space series of the manifold (a divisor sum over Lucas numbers).
 
 Target vectors are sparse rows (basis index -> nonzero coefficient), as in
 the linear algebra layer.  The only product the stage map needs is the
@@ -31,18 +32,20 @@ in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
 previous one and eliminates exactly one new differential, the one on the
 cochains two degrees above the new stage, once (linalg.kernel), for both its
-kernel and its image.  The degree of the new generators gains one column per
+kernel and its image.  Each degree's word -> column map (_DiffData.index) is
+built there once.  The degree of the new generators gains one column per
 generator, and the step carries that degree's data on with those columns
-appended rather than dropping it: the closed generators join the kernel as
-unit rows and the differentials z of the others join the image.  That is the
-fresh elimination's result exactly when the z are independent modulo the
-coboundaries, which the step checks in time linear in their nonzeros, else
-it leaves the degree to be eliminated afresh.  One routine reads H^n off that
-data for the verifier (stage_cohomology) and for the construction, which
-keeps the H^{k+2} classes the stage map kills.  The verifier also tests
-d(dx) = 0 as membership of dx in the cached cocycles of its degree, so after
-build() it differentiates no word above degree 2.  The guard counts, never
-builds, the degree d lands in.
+appended rather than dropping it: the new words join the map, the closed
+generators join the kernel as unit rows and the differentials z of the
+others join the image.  That is the fresh elimination's result exactly when
+the z are independent modulo the coboundaries, which the step checks in time
+linear in their nonzeros; if they are not, or if the grown basis would
+exceed the guard, it leaves the degree to be built afresh.  One routine
+reads H^n off that data for the verifier (stage_cohomology) and for the
+construction, which keeps the H^{k+2} classes the stage map kills.  The
+verifier also tests d(dx) = 0 as membership of dx in the cached cocycles of
+its degree, so after build() it differentiates no word above degree 2.  The
+guard counts, never builds, the degree d lands in.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forms import CohomologyAlgebra, RankTable, loop_space_ranks
+from .forms import CohomologyAlgebra, RankTable, loop_space_mismatches
 from .gca import (
     DEFAULT_GUARD,
     BasisTooLarge,
@@ -62,7 +65,7 @@ from .gca import (
     basis,
     basis_count,
 )
-from .linalg import NotContained, Subspace, complement_in, exact, kernel
+from .linalg import NotContained, Subspace, add_scaled, complement_in, exact, kernel
 
 __all__ = [
     "NotSimplyConnected",
@@ -81,16 +84,6 @@ __all__ = [
 
 class NotSimplyConnected(ValueError):
     """The target algebra is not connected and simply connected."""
-
-
-def _add_scaled(acc: dict, coeff, row: dict) -> None:
-    """acc += coeff * row on sparse rows, in place, keeping nonzeros only."""
-    for j, x in row.items():
-        s = acc.get(j, 0) + coeff * x
-        if s:
-            acc[j] = s
-        else:
-            del acc[j]
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ class QuasiMorphism:
         if not algebra.dim(degree):
             return acc
         for mono, coeff in poly.terms.items():
-            _add_scaled(acc, coeff, self.on_mono(algebra, mono))
+            add_scaled(acc, coeff, self.on_mono(algebra, mono))
         return acc
 
     def extended(self, more: Sequence[dict]) -> "QuasiMorphism":
@@ -132,15 +125,17 @@ class QuasiMorphism:
 class _DiffData:
     """Differential of one degree: domain basis, kernel and image data.
 
-    `kernel` is the cocycle subspace in coordinates over `blist`; `image`
-    holds the differentials of the basis monomials that are not free columns
-    of the kernel, an independent basis of the coboundaries one degree up.
-    A step that adjoins generators of this degree appends their one-letter
-    words to `blist`, unit rows for the closed ones to `kernel` and the
-    differentials of the others to `image` (see extend_stage).
+    `index` maps each word of `blist` to its column, the degree's one such
+    map; `kernel` is the cocycle subspace in those columns; `image` holds
+    the differentials of the basis monomials that are not free columns of
+    the kernel, an independent basis of the coboundaries one degree up.  A
+    step that adjoins generators of this degree appends their one-letter
+    words to `blist` and `index`, unit rows for the closed ones to `kernel`
+    and the differentials of the others to `image` (see extend_stage).
     """
 
     blist: tuple
+    index: dict
     kernel: Subspace
     image: tuple
 
@@ -200,7 +195,7 @@ def _combine(combo: dict, rows: Sequence[dict]) -> dict:
     """The sparse row sum of combo[i] * rows[i], in the form of linalg.exact."""
     acc: dict = {}
     for i, coeff in combo.items():
-        _add_scaled(acc, coeff, rows[i])
+        add_scaled(acc, coeff, rows[i])
     return {j: exact(x) for j, x in acc.items()}
 
 
@@ -213,7 +208,8 @@ def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
     col_polys = [stage.diff.apply_mono(m) for m in blist]
     cocycles = kernel([p.terms for p in col_polys])
     image = tuple(p for j, p in enumerate(col_polys) if j not in cocycles.rows)
-    data = _DiffData(tuple(blist), cocycles, image)
+    index = {m: j for j, m in enumerate(blist)}
+    data = _DiffData(tuple(blist), index, cocycles, image)
     stage._data[n] = data
     return data
 
@@ -228,8 +224,7 @@ def _cohomology(
     """
     here = _diff_data(stage, n, guard)
     below = _diff_data(stage, n - 1, guard)
-    index = {m: i for i, m in enumerate(here.blist)}
-    rows = [{index[m]: c for m, c in p.terms.items()} for p in below.image]
+    rows = [{here.index[m]: c for m, c in p.terms.items()} for p in below.image]
     boundaries = Subspace.from_vectors(len(here.blist), rows)
     classes = list(complement_in(boundaries, here.kernel).rows.values())
     return here, classes, boundaries
@@ -309,16 +304,19 @@ def extend_stage(
     # created: appending degree-(k+1) generators only touches degree k+1
     # itself and degrees >= k+3.
     carried = {n: d for n, d in stage._data.items() if n <= k or n == k + 2}
-    # Carry degree k+1 only if the z rows are independent modulo B^{k+2}.
+    # Carry degree k+1 only if its basis stays within the guard and the z
+    # rows are independent modulo B^{k+2}.
+    width = len(low.blist)
     leads = {min(z) for z in classes}
-    if len(leads) == len(classes) and not any(
+    if width + len(new_gens) <= guard and len(leads) == len(classes) and not any(
         j in boundaries.rows for z in classes for j in z
     ):
-        width = len(low.blist)
+        words = tuple((len(gens) + i,) for i in range(len(new_gens)))
         cocycles = dict(low.kernel.rows)
         cocycles.update((width + i, {width + i: 1}) for i in range(len(y_images)))
         carried[k + 1] = _DiffData(
-            low.blist + tuple((len(gens) + i,) for i in range(len(new_gens))),
+            low.blist + words,
+            {**low.index, **{w: width + i for i, w in enumerate(words)}},
             Subspace(width + len(new_gens), cocycles),
             low.image + tuple(z_polys),
         )
@@ -405,16 +403,12 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
 
     # D^2 = [D, D] / 2 is a derivation, so it vanishes when it vanishes on
     # the generators; d(dx) = 0 says dx is a cocycle of degree |x| + 1.
-    indices: dict = {}
     bad_square = None
     for g, img in zip(gens, stage.diff.images):
         if img.is_zero():
             continue
         cochains = _diff_data(stage, g.degree + 1, guard)
-        index = indices.get(g.degree)
-        if index is None:
-            index = indices[g.degree] = {m: i for i, m in enumerate(cochains.blist)}
-        if not cochains.kernel.contains({index[m]: c for m, c in img.terms.items()}):
+        if not cochains.kernel.contains({cochains.index[m]: c for m, c in img.terms.items()}):
             bad_square = g.name
             break
     checks.append(
@@ -471,13 +465,11 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
         CheckResult("cohomology_isomorphism", not iso_failures, "; ".join(iso_failures))
     )
 
-    count_failures = []
-    counts = stage.generator_counts()
-    for r, expected in loop_space_ranks(algebra.b2, stage.k).items():
-        if counts.get(r, 0) != expected:
-            count_failures.append(
-                f"degree {r}: {counts.get(r, 0)} generators vs loop-space rank {expected}"
-            )
+    counts = stage.rank_table().ranks
+    count_failures = [
+        f"degree {r}: {counts[r]} generators vs loop-space rank {expected}"
+        for r, expected in loop_space_mismatches(algebra.b2, counts).items()
+    ]
     checks.append(
         CheckResult("generator_counts", not count_failures, "; ".join(count_failures))
     )

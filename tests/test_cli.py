@@ -14,7 +14,7 @@ import pytest
 
 from fourfold import cli, sullivan
 from fourfold.cli import main
-from fourfold.forms import RankTable, algebra_from_split
+from fourfold.forms import RankTable, algebra_from_split, loop_space_ranks
 from fourfold.gca import Derivation, Poly, mul
 from fourfold.sullivan import MinimalModelStage, build
 
@@ -485,6 +485,8 @@ def test_examples_k3_takes_no_parameter(capsys):
         (("ranks", "--b2", "2", "--split", "-1,3"), "--split entries must be nonnegative"),
         (("model", "--b2", "2", "--split", "-1,3"), "--split entries must be nonnegative"),
         (("examples", "connected-sum", "-1,3"), "connected-sum entries must be nonnegative"),
+        (("classify", "sum:2,-1", "cp2"), "sum:p,q entries must be nonnegative"),
+        (("classify", "sum:2", "cp2"), "sum:p,q expects P,Q integers, got '2'"),
     ],
 )
 def test_split_errors_name_the_argument_given(capsys, argv, message):
@@ -581,6 +583,34 @@ def test_guard_zero_leaves_degree_zero_unguarded(capsys):
     code, out, err = run(capsys, "verify", "--b2", "0", "--guard", "0", "--max-degree", "3")
     assert (code, err) == (0, "")
     assert out == "  [PASS] b2=0 split (0,0)  ranks {2:0, 3:0}\nall checks passed\n"
+
+
+def test_verify_guard_covers_the_carried_degree(capsys):
+    # Stage 4 adjoins u4_1, one degree-4 word, over a guard of 0.  The build
+    # never reads degree 4 again; the verifier builds it and trips.
+    argv = ("--b2", "0", "--guard", "0", "--max-degree", "4")
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: monomial basis in degree 4 exceeds the guard limit 0\n"
+    code, out, err = run(capsys, "model", *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("  ranks: pi_2=0, pi_3=0, pi_4=1\n")
+
+
+# sha256 of the stdout of `examples k3 --engine --max-degree 5 --guard 1000000`
+K3_PI5_DIGEST = "8e5430fa127030b8d66c3d78829f6d3d72a4b9f915b548d0553b76ab7c370f09"
+
+
+def test_k3_pi5_under_a_raised_guard(capsys):
+    # The default guard trips on the degree-7 count (next test); a raised one
+    # lets the engine reach pi_5 and check it against the loop-space series.
+    code, out, err = run(
+        capsys, "examples", "k3", "--engine", "--max-degree", "5", "--guard", "1000000"
+    )
+    assert (code, err) == (0, "")
+    row = re.search(r"^  5 +- +(\d+) +ok$", out, re.M)
+    assert int(row.group(1)) == loop_space_ranks(22, 5)[5] == 57960
+    assert hashlib.sha256(out.encode()).hexdigest() == K3_PI5_DIGEST
 
 
 def test_k3_guard_trips_in_degree_seven_within_64_mib(capsys):
@@ -708,14 +738,14 @@ def test_closed_stdout_exits_zero_without_a_traceback(argv, nread):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "fourfold", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert len(proc.stdout.read(nread)) == nread
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    ) as proc:
+        assert len(proc.stdout.read(nread)) == nread
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert err == b""
 
 

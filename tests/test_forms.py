@@ -21,6 +21,7 @@ from fourfold.forms import (
     hyperbolic_form,
     hypersurface_b2,
     k3_form,
+    loop_space_mismatches,
     loop_space_ranks,
     _inertia,
     make_form,
@@ -286,6 +287,32 @@ def test_loop_space_ranks_beyond_the_closed_forms():
     assert loop_space_ranks(22, 6) == {2: 22, 3: 252, 4: 3520, 5: 57960, 6: 1020096}
     assert loop_space_ranks(3, 6) == {2: 3, 3: 5, 4: 5, 5: 10, 6: 24}
     assert loop_space_ranks(4, 6)[6] == 144
+
+
+def old_cli_mismatches(b2, engine, max_degree):
+    """The command line's verdict before it moved to `forms`, kept as the reference."""
+    expected = loop_space_ranks(b2, max_degree)
+    return {r: expected[r] for r, v in engine.ranks.items() if v != expected[r]}
+
+
+@pytest.mark.parametrize("b2", range(9))
+def test_loop_space_mismatches_is_the_old_cli_verdict(b2):
+    for max_degree in range(2, 9):
+        right = RankTable(loop_space_ranks(b2, max_degree))
+        assert loop_space_mismatches(b2, right.ranks) == {}
+        assert old_cli_mismatches(b2, right, max_degree) == {}
+        for r in range(2, max_degree + 1):
+            wrong = RankTable({**right.ranks, r: right.ranks[r] + 1})
+            bad = loop_space_mismatches(b2, wrong.ranks)
+            assert bad == old_cli_mismatches(b2, wrong, max_degree)
+            assert bad == {r: right.ranks[r]}
+
+
+def test_loop_space_mismatches_names_every_wrong_degree():
+    table = {2: 3, 3: 5, 4: 4, 5: 10, 6: 25}  # b2 = 3 has rk pi_4 = 5, rk pi_6 = 24
+    assert loop_space_mismatches(3, table) == {4: 5, 6: 24}
+    assert loop_space_mismatches(3, table) == old_cli_mismatches(3, RankTable(table), 6)
+    assert loop_space_mismatches(3, {}) == {}
 
 
 # ------------------------------------------------------------------ examples

@@ -209,6 +209,16 @@ def test_membership_matches_the_rank_test():
     assert seen == {True, False}
 
 
+def test_add_scaled_updates_in_place_and_deletes_what_cancels():
+    acc = {0: 1, 2: F(1, 2), 5: 3}
+    row = {0: 2, 2: -1, 4: 7}
+    out = linalg.add_scaled(acc, F(1, 2), row)
+    assert out is acc
+    assert acc == {0: 2, 4: F(7, 2), 5: 3}  # column 2 cancelled and is gone
+    assert row == {0: 2, 2: -1, 4: 7}
+    assert linalg.add_scaled(acc, -1, dict(acc)) == {}
+
+
 # ------------------------------------------------- congruence diagonalization
 
 

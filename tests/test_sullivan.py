@@ -484,8 +484,25 @@ def test_carried_degree_data_matches_a_fresh_elimination(split, max_degree):
     for n, data in stage._data.items():
         again = sullivan._diff_data(fresh, n, DEFAULT_GUARD)
         assert data.blist == again.blist, f"degree {n}"
+        assert data.index == {m: j for j, m in enumerate(data.blist)}, f"degree {n}"
+        assert data.index == again.index, f"degree {n}"
         assert data.kernel == again.kernel, f"degree {n}"
         assert data.image == again.image, f"degree {n}"
+
+
+@pytest.mark.parametrize(
+    "split,max_degree,guard",
+    [((0, 0), 4, 0), ((0, 0), 5, 0), ((0, 0), 7, 1), ((1, 0), 5, 1), ((2, 0), 5, 6),
+     ((1, 1), 5, 6), ((3, 0), 5, 55), ((2, 1), 5, 55), ((4, 0), 5, 234)],
+)
+def test_cached_degrees_stay_within_the_guard(split, max_degree, guard):
+    # Each guard is the least at which the build completes.  At b2 = 0 the
+    # carry would grow degree 4 by u4_1 to one word, over a guard of 0.
+    stage, _, _ = build(algebra_from_split(*split), max_degree, guard=guard)
+    sizes = {n: len(data.blist) for n, data in stage._data.items() if n >= 1}
+    assert max(sizes.values()) <= guard, sizes
+    with pytest.raises(BasisTooLarge):
+        build(algebra_from_split(*split), max_degree, guard=guard - 1)
 
 
 @pytest.mark.parametrize("split,max_degree", [((3, 0), 5), ((1, 2), 8), ((0, 0), 9)])
