@@ -9,7 +9,9 @@ suite).
 Exit codes are a stable contract: 0 success, 1 verification failure, 2 input
 error, 3 basis guard exceeded (partial results are still printed).  Identical
 inputs produce byte-identical output; JSON is emitted with sorted keys and
-rationals rendered as exact "p/q" strings.
+rationals rendered as exact "p/q" strings.  `model --format json` is written
+to stdout as it is rendered, one generator at a time, so the memory it takes
+does not grow with the document.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import re
 import sys
 from functools import cache
 from itertools import groupby
+from typing import Iterator
 
 from . import forms
 from .forms import (
@@ -234,39 +237,51 @@ def _json_block(brackets: str, items: list, depth: int) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> str:
-    """The model's JSON text, byte for byte `json.dumps(doc, indent=2, sort_keys=True)`.
+# The layout `json.dumps(indent=2)` gives a generator (depth 2), a term of its
+# differential (depth 4) and an [name, exponent] factor of a monomial (depth 6).
+_GENERATOR = (
+    '%s    {\n      "degree": %d,\n      "differential": %s,\n      "name": %s\n    }'
+)
+_TERM = (
+    '\n        {\n          "coeff": "%s",\n          "monomial": [\n'
+    '            %s\n          ]\n        }'
+)
+_FACTOR = "[\n              %s,\n              %d\n            ]"
+_FACTOR_SEP = ",\n            "
 
-    Rendered directly, since with `indent` set `json` falls back to its
-    pure-Python encoder.  Each [name, exponent] factor is rendered once and
-    reused; string leaves go through `json.dumps` (the C string encoder).
+
+def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> Iterator[str]:
+    """The model's JSON text in pieces, byte for byte `json.dumps(doc, indent=2, sort_keys=True)`.
+
+    Yields one piece per generator, so the whole document is never held in
+    memory.  Rendered directly, since with `indent` set `json` falls back to
+    its pure-Python encoder.  Each distinct monomial's factor list is
+    rendered once and reused.  A coefficient is an int or a Fraction
+    (`linalg.exact`), whose text holds only digits, "-" and "/", so it needs
+    no escaping; names go through `json.dumps` (the C string encoder).
     """
     names = [json.dumps(g.name) for g in stage.gens]
-    factors: dict = {}  # (generator, exponent) -> rendered factor
-    # One template for every term: its monomial is never empty (degree >= 3).
-    term = _json_block("{}", ['"coeff": %s', '"monomial": ' + _json_block("[]", ["%s"], 5)], 4)
-    comma = ",\n" + "  " * 6
-    generators = []
+    monomials: dict = {}  # word -> its rendered factor list
+    yield '{\n  "generators": ['
+    sep, close = "\n", "]"
     for i, g in enumerate(stage.gens):
         terms = []
         for mono, coeff in sorted(stage.diff.image(i).terms.items()):
-            monomial = []
-            for j, run in groupby(mono):
-                key = (j, len(list(run)))
-                if key not in factors:
-                    factors[key] = _json_block("[]", [names[j], str(key[1])], 6)
-                monomial.append(factors[key])
-            terms.append(term % (json.dumps(str(coeff)), comma.join(monomial)))
-        differential = _json_block("[]", terms, 3)
-        generators.append(_json_block("{}", [
-            f'"degree": {g.degree}', f'"differential": {differential}', f'"name": {names[i]}'
-        ], 2))
-    fields = {"generators": _json_block("[]", generators, 1)}
+            factors = monomials.get(mono)
+            if factors is None:
+                factors = monomials[mono] = _FACTOR_SEP.join(
+                    [_FACTOR % (names[j], len(list(run))) for j, run in groupby(mono)]
+                )
+            terms.append(_TERM % (coeff, factors))
+        differential = "[" + ",".join(terms) + "\n      ]" if terms else "[]"
+        yield _GENERATOR % (sep, g.degree, differential, names[i])
+        sep, close = ",\n", "\n  ]"
     ranks = {str(r): v for r, v in table.ranks.items()}
-    for key, doc in (("meta", meta), ("ranks", ranks)):  # flat dicts of ints
-        pairs = [f"{json.dumps(k)}: {v}" for k, v in sorted(doc.items())]
-        fields[key] = _json_block("{}", pairs, 1)
-    return _json_block("{}", [f"{json.dumps(k)}: {v}" for k, v in fields.items()], 0)
+    meta_text, ranks_text = (
+        _json_block("{}", [f"{json.dumps(k)}: {v}" for k, v in sorted(doc.items())], 1)
+        for doc in (meta, ranks)  # flat dicts of ints
+    )
+    yield f'{close},\n  "meta": {meta_text},\n  "ranks": {ranks_text}\n}}'
 
 
 def cmd_model(args) -> int:
@@ -277,7 +292,9 @@ def cmd_model(args) -> int:
     )
     meta = _meta(b2, plus, minus, args.max_degree)
     if args.format == "json":
-        print(model_document(stage, table, meta))
+        for piece in model_document(stage, table, meta):
+            print(piece, end="")  # print, not sys.stdout: it may be None (stdout closed)
+        print()
     else:
         print(
             f"minimal model of {label} (split {plus},{minus}, sigma {plus - minus}) "

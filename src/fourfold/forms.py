@@ -8,7 +8,10 @@ differential), take the homotopy ranks from one divisor sum and compare an
 engine's ranks with them in one verdict (`loop_space_mismatches`), and
 classify rational homotopy type by rank and signature.  A small catalog
 covers the classical examples: complex projective hypersurfaces, complete
-intersections, the K3 surface and connected sums of projective planes.
+intersections, the K3 surface and connected sums of projective planes.  Its
+forms are built with their invariants known, without an elimination: a
+diagonal form's are read off its entries, those of the hyperbolic plane and
+of E8 are classical, and a block sum adds up its blocks' splits.
 """
 
 from __future__ import annotations
@@ -138,18 +141,27 @@ def make_form(matrix: Sequence[Sequence[int]]) -> IntersectionForm:
         for j in range(i):
             if data[i][j] != data[j][i]:
                 raise NotSymmetric("intersection form must be symmetric")
-    plus, minus, det = _inertia(data)
+    return _unimodular(data, *_inertia(data))
+
+
+def _unimodular(data: tuple, plus: int, minus: int, det: int) -> IntersectionForm:
+    """The form of a validated symmetric matrix, given its (plus, minus, det)."""
     if det != 1 and det != -1:
         raise NotUnimodular(f"determinant is {det}, expected +1 or -1")
-    return IntersectionForm(data, n, plus, minus)
+    return IntersectionForm(data, len(data), plus, minus)
 
 
 # ---------------------------------------------------------------- catalog
 
 
 def diagonal_form(entries: Sequence[int]) -> IntersectionForm:
-    n = len(entries)
-    return make_form([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    """diag(entries), whose split and determinant are read off the entries."""
+    diagonal = [_validated_int(x) for x in entries]
+    zeros = (0,) * len(diagonal)
+    data = tuple(zeros[:i] + (x,) + zeros[i + 1 :] for i, x in enumerate(diagonal))
+    plus = sum(1 for x in diagonal if x > 0)
+    minus = sum(1 for x in diagonal if x < 0)
+    return _unimodular(data, plus, minus, math.prod(diagonal))
 
 
 def empty_form() -> IntersectionForm:
@@ -157,21 +169,27 @@ def empty_form() -> IntersectionForm:
 
 
 def hyperbolic_form() -> IntersectionForm:
-    return make_form([[0, 1], [1, 0]])
+    """The hyperbolic plane [[0, 1], [1, 0]], of split (1, 1)."""
+    return IntersectionForm(((0, 1), (1, 0)), 2, 1, 1)
 
 
 _E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7))
 
 
 def e8_form(negative: bool = False) -> IntersectionForm:
+    """The E8 Cartan matrix, negated if `negative`.
+
+    It is even, unimodular and positive definite, so its split is (8, 0),
+    or (0, 8) negated.
+    """
+    sign = -1 if negative else 1
     rows = [[0] * 8 for _ in range(8)]
     for i in range(8):
-        rows[i][i] = 2
+        rows[i][i] = 2 * sign
     for i, j in _E8_EDGES:
-        rows[i][j] = rows[j][i] = -1
-    if negative:
-        rows = [[-x for x in r] for r in rows]
-    return make_form(rows)
+        rows[i][j] = rows[j][i] = -sign
+    split = (0, 8) if negative else (8, 0)
+    return IntersectionForm(tuple(map(tuple, rows)), 8, *split)
 
 
 def _block_diagonal(blocks: Sequence[IntersectionForm]) -> list[list[int]]:
@@ -187,10 +205,21 @@ def _block_diagonal(blocks: Sequence[IntersectionForm]) -> list[list[int]]:
 
 
 def k3_form() -> IntersectionForm:
-    """Three hyperbolic planes plus two negative E8 blocks: b2 22, signature -16."""
+    """Three hyperbolic planes plus two negative E8 blocks: b2 22, signature -16.
+
+    The split of a block sum adds up its blocks' splits, and its determinant
+    is the product of theirs, +-1 for unimodular blocks; so the 22 x 22
+    matrix is not eliminated again.
+    """
     h = hyperbolic_form()
     e8m = e8_form(negative=True)
-    return make_form(_block_diagonal([h, h, h, e8m, e8m]))
+    blocks = [h, h, h, e8m, e8m]
+    return IntersectionForm(
+        tuple(map(tuple, _block_diagonal(blocks))),
+        sum(b.b2 for b in blocks),
+        sum(b.b2_plus for b in blocks),
+        sum(b.b2_minus for b in blocks),
+    )
 
 
 def connected_sum_form(plus: int, minus: int) -> IntersectionForm:

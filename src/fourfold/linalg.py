@@ -250,18 +250,20 @@ def kernel(columns: Sequence[dict]) -> Subspace:
 
     Each column is a sparse dict keyed by any sortable coordinate of the
     target.  The transpose, one row per key in sorted order with column j
-    stored at ncols - 1 - j, is eliminated once to R.  A free column f' of R
-    gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f' and pivots p' < f';
-    in the original order it leads with 1 at a free column and vanishes at
-    every other one: the kernel's reduced echelon basis.
+    stored at ncols - 1 - j and zero entries left out, is built here, so its
+    rows go to `_eliminate` as they are, and is eliminated once to R.  A free
+    column f' of R gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f' and
+    pivots p' < f'; in the original order it leads with 1 at a free column and
+    vanishes at every other one: the kernel's reduced echelon basis.
     """
     ncols = len(columns)
     last = ncols - 1
     rows: dict = {}
     for j, column in enumerate(columns):
         for key, x in column.items():
-            rows.setdefault(key, {})[last - j] = x
-    reduced = Subspace.from_vectors(ncols, [rows[key] for key in sorted(rows)]).rows
+            if x:
+                rows.setdefault(key, {})[last - j] = x
+    reduced = _eliminate([rows[key] for key in sorted(rows)])
     vectors = {f: {f: 1} for f in range(ncols)}
     for p in reduced:
         del vectors[last - p]

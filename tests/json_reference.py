@@ -1,8 +1,9 @@
 """Dict-building reference for the `model --format json` document.
 
-`cli.model_document` renders the JSON text directly.  This is the earlier
-route, kept so that tests can compare the two: build the whole document as
-dicts and lists, then encode it with `json.dumps(indent=2, sort_keys=True)`.
+`cli.model_document` renders the JSON text directly and yields it in pieces,
+one generator at a time.  This is the earlier route, kept so that tests can
+compare the joined pieces with it: build the whole document as dicts and
+lists, then encode it with `json.dumps(indent=2, sort_keys=True)`.
 """
 
 import json

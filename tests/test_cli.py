@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fourfold import cli, sullivan
+from fourfold import cli, forms, sullivan
 from fourfold.cli import main
 from fourfold.forms import RankTable, algebra_from_split, loop_space_ranks
 from fourfold.gca import Derivation, Poly, mul
@@ -269,7 +269,7 @@ def test_model_json_matches_the_reference_encoder(cell):
     b2, (plus, minus), max_degree = cell
     stage, table, _ = build(algebra_from_split(plus, minus), max_degree)
     meta = cli._meta(b2, plus, minus, max_degree)
-    text = cli.model_document(stage, table, meta)
+    text = "".join(cli.model_document(stage, table, meta))
     assert text == json_reference.model_text(stage, table, meta)
 
 
@@ -286,9 +286,24 @@ def test_model_json_matches_the_reference_on_random_rational_coefficients():
         stage.algebra, stage.gens, Derivation(stage.gens, images), stage.qm, stage.k
     )
     meta = cli._meta(3, 1, 2, 7)
-    text = cli.model_document(scaled, table, meta)
+    text = "".join(cli.model_document(scaled, table, meta))
     assert "/" in text
     assert text == json_reference.model_text(scaled, table, meta)
+
+
+def test_model_json_streams_in_less_memory_than_it_prints():
+    # One generator's piece at a time, plus each distinct monomial rendered
+    # once: the whole text is never held.
+    stage, table, _ = build(algebra_from_split(1, 2), 8)
+    meta = cli._meta(3, 1, 2, 8)
+    tracemalloc.start()
+    try:
+        size = sum(len(piece) for piece in cli.model_document(stage, table, meta))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 300_000
+    assert peak < size
 
 
 # sha256 of `model ... --format json` for deep cells outside the golden grid,
@@ -411,6 +426,21 @@ def test_classify_non_unimodular_diagonal_message(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: bad diagonal form 'diag:2,3': determinant is 6, expected +1 or -1\n"
+
+
+@pytest.mark.parametrize("pair, line", [
+    (("sum:400,0", "cp2"), "#400 CP^2 # 0 CP^2-bar: rank 400, sigma 400, connected sum (400, 0)"),
+    (("k3", "k3"), "K3: rank 22, sigma -16, connected sum (3, 19)"),
+], ids=["sum", "k3"])
+def test_classify_catalog_forms_skip_the_elimination(monkeypatch, capsys, pair, line):
+    # Their split is read off the diagonal or added up over the blocks.
+    def refuse(rows):
+        raise AssertionError(f"_inertia ran on a {len(rows)} x {len(rows)} matrix")
+
+    monkeypatch.setattr(forms, "_inertia", refuse)
+    code, out, _ = run(capsys, "classify", *pair)
+    assert code == 0
+    assert f"  {line}\n" in out
 
 
 # ----------------------------------------------------------------- examples
@@ -747,6 +777,19 @@ def test_closed_stdout_exits_zero_without_a_traceback(argv, nread):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in CLOSED_STDOUT], ids=[a[0] for a, _ in CLOSED_STDOUT])
+def test_stdout_closed_at_start_exits_zero_without_a_traceback(argv):
+    # With file descriptor 1 closed, the interpreter sets sys.stdout to None.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m fourfold "$@" >&-', sys.executable, *argv],
+        stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 # ------------------------------------------------------------------- README

@@ -122,6 +122,29 @@ def test_k3_form_invariants():
     assert canonical_connected_sum(q) == (3, 19)
 
 
+def form_or_error(factory, arg):
+    try:
+        return factory(arg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entries", [
+    [], [1], [-1], [1, -1, -1], [-1] * 5, [0], [1, 0, -1], [2], [-2], [2, 3], [1, -2, 1],
+    [True],
+])
+def test_diagonal_form_equals_make_form(entries):
+    n = len(entries)
+    matrix = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert form_or_error(diagonal_form, entries) == form_or_error(make_form, matrix)
+
+
+def test_catalog_forms_equal_make_form():
+    for q in (hyperbolic_form(), e8_form(), e8_form(negative=True), k3_form(),
+              connected_sum_form(3, 19)):
+        assert q == make_form(q.matrix)
+
+
 def reference_inertia(rows):
     n = len(rows)
     _, d = congruence_diagonalize(QMatrix.from_rows(rows, cols=n))
