@@ -33,6 +33,7 @@ from .forms import (
     canonical_connected_sum,
     closed_form_ranks,
     complete_intersection_b2,
+    complete_intersection_split,
     hypersurface_b2,
     loop_space_mismatches,
     make_form,
@@ -373,7 +374,7 @@ def cmd_examples(args) -> int:
             raise InputError("degree must be positive")
         b2 = hypersurface_b2(d)
         label = f"degree-{d} hypersurface (b2={b2})"
-        split = (b2, 0)
+        split = complete_intersection_split([d])
     elif which == "ci":
         if params is None:
             raise InputError("ci needs degrees, e.g. `examples ci 2,2`")
@@ -385,7 +386,7 @@ def cmd_examples(args) -> int:
             raise InputError("degrees must be positive integers")
         b2 = complete_intersection_b2(degrees)
         label = f"complete intersection {tuple(degrees)} (b2={b2})"
-        split = (b2, 0)
+        split = complete_intersection_split(degrees)
     elif which == "k3":
         if params is not None:
             raise InputError(f"k3 takes no parameter, got {params!r}")
@@ -414,7 +415,7 @@ def cmd_examples(args) -> int:
 
 def _verify_one(split: tuple[int, int], max_degree: int, guard: int):
     stage, table, _ = build(algebra_from_split(*split), max_degree, guard=guard)
-    report = verify_stage(stage, guard=guard)
+    report = verify_stage(stage)
     return table, [f"{check.name}: {check.detail}" for check in report.failures()]
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "loop_space_mismatches",
     "hypersurface_b2",
     "complete_intersection_b2",
+    "complete_intersection_split",
     "rationally_equivalent",
     "canonical_connected_sum",
     "diagonal_form",
@@ -387,6 +388,19 @@ def complete_intersection_b2(degrees: Sequence[int]) -> int:
     bracket = math.comb(n + 3, 2) - (n + 3) * s1 + s2 + cross
     e = bracket * math.prod(ds)
     return e - 2
+
+
+def complete_intersection_split(degrees: Sequence[int]) -> tuple[int, int]:
+    """(b2+, b2-) of a complete intersection surface of the given type.
+
+    From the signature theorem, sigma = (c1^2 - 2e) / 3, with
+    c1^2 = (n + 3 - sum d_i)^2 * prod d_i and e = b2 + 2.
+    """
+    ds = list(degrees)
+    b2 = complete_intersection_b2(ds)
+    c1_squared = (len(ds) + 3 - sum(ds)) ** 2 * math.prod(ds)
+    sigma = (c1_squared - 2 * (b2 + 2)) // 3
+    return (b2 + sigma) // 2, (b2 - sigma) // 2
 
 
 # ------------------------------------------------------------- classification

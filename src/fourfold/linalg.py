@@ -6,19 +6,19 @@ elimination multiplies plain integers wherever it can; nothing in this
 module ever touches floating point.  Degenerate shapes (0 x n and
 n x 0) are legal everywhere.
 
-Rows are sparse: dicts from column index to nonzero value.  One routine,
-`_eliminate`, reduces rows against echelon rows keyed by pivot column,
-lowest pivot first, then back-substitutes; rank, kernels, complements and
-membership (`Subspace.contains`) all go through it.  Reduced echelon bases
-are unique, so results depend only on the column order, never on the row
-order.  `kernel` is the one kernel entry point: it takes the columns of a
-map, transposes them into rows with the columns reversed and eliminates
-once; the kernel vectors read off that form are already in reduced echelon
-form in the original order.  `add_scaled`, acc += c * row in place, is the
-one sparse accumulate outside elimination.  `Subspace.from_vectors` takes
-sparse or dense rows, and `Subspace.basis` gives dense tuples.  `QMatrix`, a dense matrix with a transpose and a
-product, is used by no other module of the package; the acceptance suite
-builds unimodular congruences U^T S U with it.
+Rows are sparse: dicts from a sortable key, a column index or a monomial
+word, to nonzero value.  One routine, `_eliminate`, reduces rows against
+echelon rows keyed by pivot, lowest first, then back-substitutes; rank,
+kernels, spans, complements and membership (`Subspace.contains`) all go
+through it.  Reduced echelon bases are unique, so results depend only on
+the key order, never on the row order.  `kernel` is the one kernel entry
+point: it transposes the columns of a map into rows with the columns
+reversed and eliminates once; the kernel vectors read off that form are in
+reduced echelon form in the original order.  `span` takes rows of any keys,
+`Subspace.from_vectors` range-checked rows over columns, sparse or dense.
+`add_scaled`, acc += c * row in place, is the one sparse accumulate outside
+elimination.  `QMatrix`, a dense matrix with a transpose and a product, is
+used by no other module; the acceptance suite builds U^T S U with it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "QMatrix",
     "Subspace",
     "kernel",
+    "span",
     "complement_in",
     "exact",
     "add_scaled",
@@ -201,13 +202,19 @@ def _eliminate(rows: Iterable[dict]) -> dict:
     return {p: done[p] for p in pivots}
 
 
+def span(rows: Iterable[dict]) -> dict:
+    """The reduced echelon basis, by pivot, of sparse rows of any sortable keys."""
+    return _eliminate([{j: x for j, x in row.items() if x} for row in rows])
+
+
 class Subspace:
     """Subspace of Q^n stored by its unique reduced echelon basis.
 
-    `rows` maps each pivot column, in ascending order, to a sparse basis row
-    with entry 1 there and zeros in the other pivot columns, so equal
-    subspaces compare equal.  The constructor takes such a dict as it is;
-    `from_vectors` reduces any spanning rows to one.
+    `rows` maps each pivot, ascending, to a sparse basis row with entry 1
+    there and zeros at the other pivots, so equal subspaces compare equal;
+    the pivots are columns or other sortable keys, such as one degree's
+    words.  The constructor takes such a dict as it is; `from_vectors` and
+    `span` reduce any spanning rows to one.
     """
 
     __slots__ = ("ambient_dim", "rows")

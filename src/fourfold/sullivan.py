@@ -20,32 +20,32 @@ verdict the command line uses too: forms.loop_space_mismatches, against the
 loop-space series of the manifold (a divisor sum over Lucas numbers).
 
 Target vectors are sparse rows (basis index -> nonzero coefficient), as in
-the linear algebra layer.  The only product the stage map needs is the
-pairing of two degree-2 classes, CohomologyAlgebra.pair.
+the linear algebra layer; cochain rows are keyed by word, as Poly.terms is.
+The only product the stage map needs is CohomologyAlgebra.pair.
 
 Kernel and complement bases are always the deterministic echelon bases of
-the linear algebra layer, so two runs produce identical models.  Any basis
-choice would give an isomorphic model and the same rank table.
+the linear algebra layer, so two runs produce identical models.  Within one
+degree no word is a prefix of another, so word order is the basis order.
 
 Degree bookkeeping: only monomials in generators of degree <= n can appear
 in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
 previous one and eliminates exactly one new differential, the one on the
 cochains two degrees above the new stage, once (linalg.kernel), for both its
-kernel and its image.  Each degree's word -> column map (_DiffData.index) is
-built there once.  The degree of the new generators gains one column per
-generator, and the step carries that degree's data on with those columns
-appended rather than dropping it: the new words join the map, the closed
-generators join the kernel as unit rows and the differentials z of the
-others join the image.  That is the fresh elimination's result exactly when
-the z are independent modulo the coboundaries, which the step checks in time
-linear in their nonzeros; if they are not, or if the grown basis would
-exceed the guard, it leaves the degree to be built afresh.  One routine
-reads H^n off that data for the verifier (stage_cohomology) and for the
-construction, which keeps the H^{k+2} classes the stage map kills.  The
-verifier also tests d(dx) = 0 as membership of dx in the cached cocycles of
-its degree, so after build() it differentiates no word above degree 2.  The
-guard counts, never builds, the degree d lands in.
+kernel and its image.  The degree of the new generators gains their words,
+which sort after every older one, and the step carries that degree's data
+on rather than dropping it: the closed generators join the kernel as unit
+rows and the differentials z of the others join the image.  That is the
+fresh elimination's result exactly when the z are independent modulo the
+coboundaries, which the step checks in time linear in their nonzeros; if
+they are not, or if the grown basis would exceed the guard, it leaves the
+degree to be built afresh.  One routine reads H^n off that data for the
+verifier (stage_cohomology) and for the construction, which keeps the
+H^{k+2} classes the stage map kills.  The verifier also tests d(dx) = 0 as
+membership of dx in the cached cocycles of its degree, so after build() it
+differentiates no word above degree 2.  The guard is the stage's own, and
+cached data stays within it as rebuilt data would; it counts, never builds,
+the degree d lands in.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .gca import (
     basis,
     basis_count,
 )
-from .linalg import NotContained, Subspace, add_scaled, complement_in, exact, kernel
+from .linalg import NotContained, Subspace, add_scaled, complement_in, exact, kernel, span
 
 __all__ = [
     "NotSimplyConnected",
@@ -109,9 +109,9 @@ class QuasiMorphism:
         i, j = mono
         return algebra.pair(self.images[i], self.images[j])
 
-    def on_poly(self, algebra: CohomologyAlgebra, poly: Poly, degree: int) -> dict:
+    def on_poly(self, algebra: CohomologyAlgebra, poly: Poly) -> dict:
         acc: dict = {}
-        if not algebra.dim(degree):
+        if not algebra.dim(poly.degree):
             return acc
         for mono, coeff in poly.terms.items():
             add_scaled(acc, coeff, self.on_mono(algebra, mono))
@@ -123,19 +123,17 @@ class QuasiMorphism:
 
 @dataclass(frozen=True)
 class _DiffData:
-    """Differential of one degree: domain basis, kernel and image data.
+    """Differential of one degree: kernel and image data.
 
-    `index` maps each word of `blist` to its column, the degree's one such
-    map; `kernel` is the cocycle subspace in those columns; `image` holds
-    the differentials of the basis monomials that are not free columns of
-    the kernel, an independent basis of the coboundaries one degree up.  A
-    step that adjoins generators of this degree appends their one-letter
-    words to `blist` and `index`, unit rows for the closed ones to `kernel`
-    and the differentials of the others to `image` (see extend_stage).
+    `kernel` is the cocycle subspace, its rows keyed by the degree's words
+    and its ambient_dim the word count; `image` holds the differentials of
+    the basis monomials that are not free columns of the kernel, an
+    independent basis of the coboundaries one degree up.  A step that
+    adjoins generators of this degree adds unit rows at the closed ones'
+    words to `kernel` and the differentials of the others to `image` (see
+    extend_stage).
     """
 
-    blist: tuple
-    index: dict
     kernel: Subspace
     image: tuple
 
@@ -154,11 +152,12 @@ class StageReport:
 class MinimalModelStage:
     """Generators, differential and stage map after building through degree k.
 
-    Instances are immutable; `_data` only memoizes per-degree eliminations,
-    which are deterministic functions of the stage.
+    `guard` bounds every monomial basis the stage's cochain data reads; a
+    successor keeps it.  Instances are immutable; `_data` only memoizes
+    per-degree eliminations, which are deterministic functions of the stage.
     """
 
-    __slots__ = ("algebra", "gens", "diff", "qm", "k", "_data")
+    __slots__ = ("algebra", "gens", "diff", "qm", "k", "guard", "_data")
 
     def __init__(
         self,
@@ -167,6 +166,7 @@ class MinimalModelStage:
         diff: Derivation,
         qm: QuasiMorphism,
         k: int,
+        guard: int = DEFAULT_GUARD,
         data: dict | None = None,
     ):
         self.algebra = algebra
@@ -174,6 +174,7 @@ class MinimalModelStage:
         self.diff = diff
         self.qm = qm
         self.k = k
+        self.guard = guard
         self._data = {} if data is None else data
 
     def generator_counts(self) -> dict:
@@ -187,10 +188,6 @@ class MinimalModelStage:
         return RankTable({r: counts.get(r, 0) for r in range(2, self.k + 1)}, False)
 
 
-def _vector_poly(row: dict, blist, degree: int) -> Poly:
-    return Poly({blist[j]: c for j, c in row.items()}, degree)
-
-
 def _combine(combo: dict, rows: Sequence[dict]) -> dict:
     """The sparse row sum of combo[i] * rows[i], in the form of linalg.exact."""
     acc: dict = {}
@@ -199,38 +196,35 @@ def _combine(combo: dict, rows: Sequence[dict]) -> dict:
     return {j: exact(x) for j, x in acc.items()}
 
 
-def _diff_data(stage: MinimalModelStage, n: int, guard: int) -> _DiffData:
+def _diff_data(stage: MinimalModelStage, n: int) -> _DiffData:
     cached = stage._data.get(n)
     if cached is not None:
         return cached
-    blist = basis(stage.gens, n, guard) if n >= 0 else []
-    basis_count(stage.gens, n + 1, guard)  # the guard covers the degree d lands in, too
+    blist = basis(stage.gens, n, stage.guard) if n >= 0 else []
+    basis_count(stage.gens, n + 1, stage.guard)  # and the degree d lands in
     col_polys = [stage.diff.apply_mono(m) for m in blist]
-    cocycles = kernel([p.terms for p in col_polys])
-    image = tuple(p for j, p in enumerate(col_polys) if j not in cocycles.rows)
-    index = {m: j for j, m in enumerate(blist)}
-    data = _DiffData(tuple(blist), index, cocycles, image)
+    cocycles = kernel([p.terms for p in col_polys]).rows
+    image = tuple(p for j, p in enumerate(col_polys) if j not in cocycles)
+    rows = {blist[p]: {blist[j]: c for j, c in r.items()} for p, r in cocycles.items()}
+    data = _DiffData(Subspace(len(blist), rows), image)
     stage._data[n] = data
     return data
 
 
-def _cohomology(
-    stage: MinimalModelStage, n: int, guard: int
-) -> tuple[_DiffData, list, Subspace]:
+def _cohomology(stage: MinimalModelStage, n: int) -> tuple[_DiffData, list, Subspace]:
     """The degree-n data, the rows of H^n and the coboundaries B^n.
 
     The H^n rows are the cocycle rows that complement B^n.  Raises
     NotContained if some coboundary is not a cocycle.
     """
-    here = _diff_data(stage, n, guard)
-    below = _diff_data(stage, n - 1, guard)
-    rows = [{here.index[m]: c for m, c in p.terms.items()} for p in below.image]
-    boundaries = Subspace.from_vectors(len(here.blist), rows)
+    here = _diff_data(stage, n)
+    below = _diff_data(stage, n - 1)
+    boundaries = Subspace(here.kernel.ambient_dim, span(p.terms for p in below.image))
     classes = list(complement_in(boundaries, here.kernel).rows.values())
     return here, classes, boundaries
 
 
-def init_stage(algebra: CohomologyAlgebra) -> MinimalModelStage:
+def init_stage(algebra: CohomologyAlgebra, guard: int = DEFAULT_GUARD) -> MinimalModelStage:
     """Stage 2: one closed degree-2 generator per degree-2 basis class."""
     if algebra.dim(0) != 1 or algebra.dim(1) != 0:
         raise NotSimplyConnected(
@@ -240,21 +234,19 @@ def init_stage(algebra: CohomologyAlgebra) -> MinimalModelStage:
     gens = GeneratorSet([(f"x{i + 1}", 2) for i in range(n2)])
     diff = Derivation(gens, [Poly.zero()] * n2)
     qm = QuasiMorphism(tuple({i: 1} for i in range(n2)))
-    return MinimalModelStage(algebra, gens, diff, qm, 2)
+    return MinimalModelStage(algebra, gens, diff, qm, 2, guard)
 
 
-def extend_stage(
-    stage: MinimalModelStage, guard: int = DEFAULT_GUARD
-) -> tuple[MinimalModelStage, StageReport]:
-    """One construction step: stage k to stage k+1.
+def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageReport]:
+    """One construction step: stage k to stage k+1, under the stage's guard.
 
     The successor keeps the cached data of every degree the new generators
-    leave alone, and gets degree k+1 with their columns appended.  The
-    new words sort after the old ones, so no old column moves; the unit rows
-    at the closed u columns keep the kernel basis reduced; and the kernel
+    leave alone, and gets degree k+1 with their words added.  The new
+    words sort after the old ones, so no old pivot moves; the unit rows
+    at the closed u words keep the kernel basis reduced; and the kernel
     gains nothing else exactly when no nonzero combination of the v
     differentials z is a coboundary.  That holds when each z row vanishes on
-    the pivot columns of B^{k+2} and no two lead at one column: a nonzero
+    the pivot words of B^{k+2} and no two lead at one word: a nonzero
     combination is then nonzero at its first lead and vanishes on those
     pivots, so it lies outside B^{k+2}.  The step checks both conditions and
     otherwise leaves degree k+1 to be eliminated afresh.
@@ -263,15 +255,14 @@ def extend_stage(
     algebra = stage.algebra
     gens = stage.gens
     k = stage.k
-    low = _diff_data(stage, k + 1, guard)
+    low = _diff_data(stage, k + 1)
 
     # Closed generators: the unit vectors at the non-pivot columns of the image
     # of the stage map, a complement of it in the degree-(k+1) target.
     target_dim = algebra.dim(k + 1)
     if target_dim:
         image_vectors = [
-            stage.qm.on_poly(algebra, _vector_poly(z, low.blist, k + 1), k + 1)
-            for z in low.kernel.rows.values()
+            stage.qm.on_poly(algebra, Poly(z, k + 1)) for z in low.kernel.rows.values()
         ]
         reached = Subspace.from_vectors(target_dim, image_vectors)
         y_images = [{p: 1} for p in range(target_dim) if p not in reached.rows]
@@ -280,17 +271,14 @@ def extend_stage(
 
     # Exact generators: the degree-(k+2) cohomology classes that the stage
     # map sends to zero.
-    high, classes, boundaries = _cohomology(stage, k + 2, guard)
+    high, classes, boundaries = _cohomology(stage, k + 2)
     if algebra.dim(k + 2):
-        combos = kernel([
-            stage.qm.on_poly(algebra, _vector_poly(z, high.blist, k + 2), k + 2)
-            for z in classes
-        ])
+        combos = kernel([stage.qm.on_poly(algebra, Poly(z, k + 2)) for z in classes])
         # Both bases are reduced, so the combinations are the reduced echelon
         # basis of their span: row c leads with 1 where its free column's
         # class does and vanishes at every other kept class's pivot.
         classes = [_combine(c, classes) for c in combos.rows.values()]
-    z_polys = [_vector_poly(v, high.blist, k + 2) for v in classes]
+    z_polys = [Poly(z, k + 2) for z in classes]
 
     degree = k + 1
     new_gens = [Generator(f"u{degree}_{i + 1}", degree) for i in range(len(y_images))]
@@ -302,41 +290,38 @@ def extend_stage(
     qm2 = stage.qm.extended(y_images + [{}] * len(z_polys))
     # Degree-n cochain data stays valid while no monomial of degree n is
     # created: appending degree-(k+1) generators only touches degree k+1
-    # itself and degrees >= k+3.
+    # itself and degrees >= k+3, where the d of degree k+2 lands: keep it only
+    # while that count stays within the guard, as for a fresh elimination.
     carried = {n: d for n, d in stage._data.items() if n <= k or n == k + 2}
+    try:
+        basis_count(gens2, k + 3, stage.guard)
+    except BasisTooLarge:
+        del carried[k + 2]
     # Carry degree k+1 only if its basis stays within the guard and the z
     # rows are independent modulo B^{k+2}.
-    width = len(low.blist)
+    width = low.kernel.ambient_dim + len(new_gens)
     leads = {min(z) for z in classes}
-    if width + len(new_gens) <= guard and len(leads) == len(classes) and not any(
+    if width <= stage.guard and len(leads) == len(classes) and not any(
         j in boundaries.rows for z in classes for j in z
     ):
-        words = tuple((len(gens) + i,) for i in range(len(new_gens)))
-        cocycles = dict(low.kernel.rows)
-        cocycles.update((width + i, {width + i: 1}) for i in range(len(y_images)))
-        carried[k + 1] = _DiffData(
-            low.blist + words,
-            {**low.index, **{w: width + i for i, w in enumerate(words)}},
-            Subspace(width + len(new_gens), cocycles),
-            low.image + tuple(z_polys),
-        )
-    successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, carried)
+        u_words = [(len(gens) + i,) for i in range(len(y_images))]
+        cocycles = {**low.kernel.rows, **{w: {w: 1} for w in u_words}}
+        carried[k + 1] = _DiffData(Subspace(width, cocycles), low.image + tuple(z_polys))
+    successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, stage.guard, carried)
     report = StageReport(
         k=k + 1,
         new_cocycle_generators=len(y_images),
         new_kernel_generators=len(z_polys),
-        basis_sizes={k + 1: len(low.blist), k + 2: len(high.blist)},
+        basis_sizes={k + 1: low.kernel.ambient_dim, k + 2: high.kernel.ambient_dim},
         elapsed=time.perf_counter() - started,
     )
     return successor, report
 
 
-def stage_cohomology(
-    stage: MinimalModelStage, n: int, guard: int = DEFAULT_GUARD
-) -> list:
+def stage_cohomology(stage: MinimalModelStage, n: int) -> list:
     """Cocycle representatives of a basis of H^n, as the construction reads it."""
-    here, rows, _ = _cohomology(stage, n, guard)
-    return [_vector_poly(v, here.blist, n) for v in rows]
+    _, rows, _ = _cohomology(stage, n)
+    return [Poly(v, n) for v in rows]
 
 
 def build(
@@ -354,11 +339,11 @@ def build(
         raise ValueError("max_degree must be at least 2")
     if algebra.dim(2) > guard:  # the degree-2 basis: one generator per class
         raise BasisTooLarge(2, guard)
-    stage = init_stage(algebra)
+    stage = init_stage(algebra, guard)
     reports: list[StageReport] = []
     try:
         while stage.k < max_degree:
-            stage, report = extend_stage(stage, guard=guard)
+            stage, report = extend_stage(stage)
             reports.append(report)
     except BasisTooLarge as exc:
         exc.partial_ranks = stage.rank_table()
@@ -386,8 +371,8 @@ class VerifyReport:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> VerifyReport:
-    """Run the full invariant suite on a stage.
+def verify_stage(stage: MinimalModelStage) -> VerifyReport:
+    """Run the full invariant suite on a stage, under the stage's guard.
 
     Checks: the differential squares to zero (each dx lies in the cocycles
     of its degree), differentials land in the decomposable part, the stage
@@ -407,8 +392,7 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
     for g, img in zip(gens, stage.diff.images):
         if img.is_zero():
             continue
-        cochains = _diff_data(stage, g.degree + 1, guard)
-        if not cochains.kernel.contains({cochains.index[m]: c for m, c in img.terms.items()}):
+        if not _diff_data(stage, g.degree + 1).kernel.contains(img.terms):
             bad_square = g.name
             break
     checks.append(
@@ -433,7 +417,7 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
         img = stage.diff.image(i)
         if img.is_zero():
             continue
-        if stage.qm.on_poly(algebra, img, g.degree + 1):
+        if stage.qm.on_poly(algebra, img):
             bad_chain = g.name
             break
     checks.append(
@@ -447,7 +431,7 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
     iso_failures = []
     for i in range(0, stage.k + 1):
         try:
-            reps = stage_cohomology(stage, i, guard)
+            reps = stage_cohomology(stage, i)
         except NotContained:
             # boundaries escape the cocycles, so the differential is broken
             iso_failures.append(f"H^{i}: coboundaries are not closed")
@@ -457,7 +441,7 @@ def verify_stage(stage: MinimalModelStage, guard: int = DEFAULT_GUARD) -> Verify
             iso_failures.append(f"H^{i}: stage {len(reps)} vs target {target}")
             continue
         if target:
-            rows = [stage.qm.on_poly(algebra, rep, i) for rep in reps]
+            rows = [stage.qm.on_poly(algebra, rep) for rep in reps]
             rank = Subspace.from_vectors(target, rows).dim
             if rank != target:
                 iso_failures.append(f"H^{i}: induced map has rank {rank}")

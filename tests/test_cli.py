@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -468,6 +469,25 @@ def test_examples_k3(capsys):
     assert code == 0
     assert "3   252" in out
     assert "4   3520" in out
+
+
+@pytest.mark.parametrize("example", [("hypersurface", "4"), ("ci", "2,3"), ("ci", "2,2,2")])
+def test_k3_complete_intersections_print_what_k3_prints(capsys, example):
+    # Each is a K3 surface, so it has K3's split (3, 19), not (22, 0).
+    flags = ("--engine", "--max-degree", "3", "--format", "json")
+    expected = run(capsys, "examples", "k3", *flags)
+    assert run(capsys, "examples", *example, *flags) == expected
+    assert json.loads(expected[1])["meta"]["sigma"] == -16
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_hypersurface_split_has_b2_plus_of_twice_the_geometric_genus_plus_one(capsys, d):
+    # b2+ = 2 p_g + 1, and a degree-d surface in CP^3 has p_g = C(d - 1, 3).
+    code, out, _ = run(capsys, "examples", "hypersurface", str(d), "--format", "json")
+    meta = json.loads(out)["meta"]
+    assert code == 0
+    assert meta["b2plus"] == 2 * math.comb(d - 1, 3) + 1
+    assert meta["b2plus"] + meta["b2minus"] == meta["b2"]
 
 
 def test_examples_connected_sum(capsys):

@@ -1,8 +1,11 @@
-"""Every name a fourfold module exports exists, and the package root exports
-exactly the four calls of the README's Library example."""
+"""Every name a fourfold module exports exists, the package root exports
+exactly the four calls of the README's Library example, and no module
+imports another's private names."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +44,24 @@ def test_package_root_exports_the_readme_library_names():
         "build", "closed_form_ranks", "cohomology_algebra", "make_form"
     ]
     assert fourfold.__version__ == "0.1.0"
+
+
+def private_imports(source):
+    """Each `from <fourfold module> import _name` in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "fourfold"
+        ):
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    assert private_imports("from .linalg import _eliminate, kernel") == ["_eliminate"]
+    assert private_imports("from fourfold.gca import _odd") == ["_odd"]
+    assert private_imports("from __future__ import annotations") == []
+    sources = sorted(Path(fourfold.__file__).parent.glob("*.py"))
+    assert len(sources) >= 6
+    found = {path.name: private_imports(path.read_text()) for path in sources}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -7,7 +7,7 @@ import pytest
 from fourfold import linalg
 from fourfold.forms import NotSymmetric, algebra_from_split
 from fourfold.gca import basis
-from fourfold.linalg import NotContained, QMatrix, Subspace, complement_in, kernel
+from fourfold.linalg import NotContained, QMatrix, Subspace, complement_in, kernel, span
 from fourfold.sullivan import build
 from fraction_reference import congruence_diagonalize, determinant, kernel_basis, rref
 
@@ -519,6 +519,29 @@ def test_sparse_and_dense_rows_agree():
         Subspace.from_vectors(3, [{-1: F(1)}])
     with pytest.raises(ValueError):
         Subspace.from_vectors(3, [[F(1), F(0)]])
+
+
+def test_span_matches_from_vectors_under_any_sortable_keys():
+    rng = random.Random("span")
+
+    def word(j):  # sorts as j does, like the words of one degree
+        return (j // 3, j % 3)
+
+    for _ in range(40):
+        ncols = rng.randint(1, 8)
+        rows = [
+            {j: rng.randint(-3, 3) for j in rng.sample(range(ncols), rng.randint(0, ncols))}
+            for _ in range(rng.randint(0, 6))
+        ]
+        before = [dict(row) for row in rows]
+        expected = Subspace.from_vectors(ncols, rows).rows
+        assert span(rows) == expected
+        keyed = [{word(j): x for j, x in row.items()} for row in rows]
+        assert span(keyed) == {
+            word(p): {word(j): x for j, x in row.items()} for p, row in expected.items()
+        }
+        assert rows == before
+    assert span([{(0, 1): 0, (1,): F(2)}]) == {(1,): {(1,): 1}}
 
 
 def differential_rows(b2, max_degree, degree):

@@ -194,7 +194,7 @@ def test_degree5_system_matches_differential_kernel(split):
     stage = MinimalModelStage(a, gens, deriv, qm, 3)
     reps = stage_cohomology(stage, 5)
     # no coboundaries, so the representatives span the cocycles
-    assert sullivan._diff_data(stage, 4, DEFAULT_GUARD).image == ()
+    assert sullivan._diff_data(stage, 4).image == ()
     blist = basis(gens, 5)
     engine_kernel = Subspace.from_vectors(
         len(blist), [[rep.terms.get(m, F(0)) for m in blist] for rep in reps]
@@ -211,7 +211,7 @@ def test_engine_degree5_cocycles_have_dimension_five(split):
     stage, _, _ = build(algebra_from_split(*split), max_degree=3)
     reps = stage_cohomology(stage, 5)
     # no degree-5 coboundaries at this stage
-    assert sullivan._diff_data(stage, 4, DEFAULT_GUARD).image == ()
+    assert sullivan._diff_data(stage, 4).image == ()
     assert len(reps) == 5
 
 
@@ -317,9 +317,9 @@ def test_one_elimination_per_differential(monkeypatch):
     monkeypatch.setattr(sullivan, "basis", lambda *a: bases.append(a[1]) or real_basis(*a))
     for n in range(9):
         before = len(calls)
-        data = sullivan._diff_data(stage, n, DEFAULT_GUARD)
+        data = sullivan._diff_data(stage, n)
         assert len(calls) == before + 1, f"degree {n}"
-        assert sullivan._diff_data(stage, n, DEFAULT_GUARD) is data
+        assert sullivan._diff_data(stage, n) is data
         assert len(calls) == before + 1, f"degree {n}, cached"
     assert bases == list(range(9))
     assert stage._data[8].kernel.dim  # a nontrivial kernel among them
@@ -482,10 +482,8 @@ def test_carried_degree_data_matches_a_fresh_elimination(split, max_degree):
     fresh = MinimalModelStage(stage.algebra, stage.gens, stage.diff, stage.qm, stage.k)
     assert max_degree in stage._data  # the top degree, carried by the last step
     for n, data in stage._data.items():
-        again = sullivan._diff_data(fresh, n, DEFAULT_GUARD)
-        assert data.blist == again.blist, f"degree {n}"
-        assert data.index == {m: j for j, m in enumerate(data.blist)}, f"degree {n}"
-        assert data.index == again.index, f"degree {n}"
+        again = sullivan._diff_data(fresh, n)
+        assert data.kernel.ambient_dim == again.kernel.ambient_dim, f"degree {n}"
         assert data.kernel == again.kernel, f"degree {n}"
         assert data.image == again.image, f"degree {n}"
 
@@ -499,10 +497,52 @@ def test_cached_degrees_stay_within_the_guard(split, max_degree, guard):
     # Each guard is the least at which the build completes.  At b2 = 0 the
     # carry would grow degree 4 by u4_1 to one word, over a guard of 0.
     stage, _, _ = build(algebra_from_split(*split), max_degree, guard=guard)
-    sizes = {n: len(data.blist) for n, data in stage._data.items() if n >= 1}
+    sizes = {n: data.kernel.ambient_dim for n, data in stage._data.items() if n >= 1}
     assert max(sizes.values()) <= guard, sizes
     with pytest.raises(BasisTooLarge):
         build(algebra_from_split(*split), max_degree, guard=guard - 1)
+    # The guard lives on the stage, so the cache cannot change the verdict.
+    fresh = MinimalModelStage(
+        stage.algebra, stage.gens, stage.diff, stage.qm, stage.k, stage.guard
+    )
+    assert verdict(fresh) == verdict(stage)
+
+
+def verdict(stage):
+    """verify_stage's checks, or the degree at which the guard trips."""
+    try:
+        return verify_stage(stage).checks
+    except BasisTooLarge as exc:
+        return exc.degree
+
+
+def test_verify_holds_a_stage_to_the_guard_it_was_built_under():
+    stage, _, _ = build(algebra_from_split(3, 0), 5)
+    assert stage.guard == DEFAULT_GUARD and verify_stage(stage).ok
+    small = MinimalModelStage(stage.algebra, stage.gens, stage.diff, stage.qm, stage.k, 10)
+    assert verdict(small) == 4
+
+
+def test_a_successor_keeps_its_parents_guard():
+    stage = init_stage(algebra_from_split(2, 1), guard=55)
+    for _ in range(3):
+        stage, _ = extend_stage(stage)
+        assert stage.guard == 55
+    with pytest.raises(BasisTooLarge) as info:
+        extend_stage(init_stage(algebra_from_split(2, 1), guard=5))
+    assert info.value.limit == 5
+
+
+@pytest.mark.parametrize("split,max_degree", [((3, 0), 5), ((1, 2), 7), ((0, 0), 9)])
+def test_cocycle_rows_are_keyed_by_the_words_of_their_degree(split, max_degree):
+    stage, _, _ = build(algebra_from_split(*split), max_degree)
+    for n, data in stage._data.items():
+        words = basis(stage.gens, n)
+        assert data.kernel.ambient_dim == len(words), f"degree {n}"
+        assert list(data.kernel.rows) == sorted(data.kernel.rows), f"degree {n}"
+        for lead, row in data.kernel.rows.items():
+            assert set(row) <= set(words), f"degree {n}"
+            assert min(row) == lead and row[lead] == 1, f"degree {n}"
 
 
 @pytest.mark.parametrize("split,max_degree", [((3, 0), 5), ((1, 2), 8), ((0, 0), 9)])
@@ -530,8 +570,8 @@ def test_carry_refuses_a_coboundary_among_the_top_z(monkeypatch):
     # would hide that class and the stage would pass.
     real = sullivan._cohomology
 
-    def swapped(stage, n, guard):
-        here, classes, boundaries = real(stage, n, guard)
+    def swapped(stage, n):
+        here, classes, boundaries = real(stage, n)
         if n == 6:
             classes = [next(iter(boundaries.rows.values()))] + classes[1:]
         return here, classes, boundaries
