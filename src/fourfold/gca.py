@@ -18,7 +18,8 @@ A derivation D is given by its generator images and extended by the graded
 Leibniz rule.  On a monomial m = x_0^e_0 ... x_n^e_n it is
 D(m) = sum_i e_i (-1)^(|x_i| |p_i|) d(x_i) * (m / x_i), where p_i is the part
 of m before x_i: the sign is negative exactly when x_i and p_i both have odd
-degree, and each term costs one monomial product.
+degree.  No two terms share a word, as t * (m / x_i) = t' * (m / x_j) with
+i != j needs t = x_i * s, |s| = 1; so `Derivation.columns` sets each once.
 """
 
 from __future__ import annotations
@@ -185,23 +186,26 @@ def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
     return out
 
 
+def _koszul_sign(a_odd: list, b_odd: list) -> int:
+    """Sign of the product a * b from the ascending odd letters of each word.
+
+    (-1) to the number of pairs of an odd letter of a above one of b, or 0
+    when they share one; the one sign rule of `mono_mul` and `columns`.
+    """
+    inversions = 0
+    for j in b_odd:
+        pos = bisect_right(a_odd, j)
+        if pos and a_odd[pos - 1] == j:
+            return 0
+        inversions += len(a_odd) - pos
+    return -1 if inversions & 1 else 1
+
+
 def mono_mul(gens: GeneratorSet, a: Mono, b: Mono):
     """Product of monomials: (sign, monomial), or None when an odd square kills it."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
     odd = gens._odd
-    a_odd = [i for i in a if odd[i]]
-    b_odd = [i for i in b if odd[i]]
-    inversions = 0
-    if a_odd and b_odd:
-        aset = set(a_odd)
-        for j in b_odd:
-            if j in aset:
-                return None
-            inversions += len(a_odd) - bisect_right(a_odd, j)
-    return (-1 if inversions & 1 else 1), tuple(sorted(a + b))
+    sign = _koszul_sign([i for i in a if odd[i]], [i for i in b if odd[i]])
+    return (sign, tuple(sorted(a + b))) if sign else None
 
 
 class Poly:
@@ -349,40 +353,42 @@ class Derivation:
                     return g.name, mono
         return None
 
-    def apply_mono(self, mono: Mono) -> Poly:
-        """D(mono) = sum_i e_i (-1)^(|x_i| |p_i|) d(x_i) * (mono / x_i).
+    def columns(self, words: Iterable[Mono]) -> list:
+        """D of each word, a sparse dict keyed by word, in one pass over the list."""
+        degs, odd = self.gens._degrees, self.gens._odd
+        images = [img.terms for img in self.images]
+        out = []
+        for mono in words:
+            column: dict = {}
+            prefix = k = 0
+            while k < len(mono):  # one pass per run x_i^e, from k to end
+                i = mono[k]
+                end = k + 1
+                while end < len(mono) and mono[end] == i:
+                    end += 1
+                if images[i]:
+                    rest = mono[:k] + mono[k + 1 :]
+                    rest_odd = [j for j in rest if odd[j]]
+                    outer = k - end if prefix & degs[i] & 1 else end - k
+                    for t, c in images[i].items():
+                        t_odd = rest_odd and [j for j in t if odd[j]]
+                        s = outer * _koszul_sign(t_odd, rest_odd) if t_odd else outer
+                        if s:
+                            column[tuple(sorted(t + rest))] = c if s == 1 else c * s
+                prefix += (end - k) * degs[i]
+                k = end
+            out.append(column)
+        return out
 
-        p_i is the part of mono before x_i; see the module docstring.
-        """
-        gens = self.gens
-        degs = gens._degrees
-        acc: dict = {}
-        prefix = 0
-        k = 0
-        while k < len(mono):  # one pass per run x_i^e, which starts at k
-            i = mono[k]
-            e = mono.count(i)
-            terms = self.images[i].terms
-            if terms:
-                rest = mono[:k] + mono[k + 1 :]
-                outer = -e if prefix & degs[i] & 1 else e
-                for t, c in terms.items():
-                    sm = mono_mul(gens, t, rest)
-                    if sm is not None:
-                        sign, m = sm
-                        s = sign * outer
-                        c = c if s == 1 else c * s
-                        prev = acc.get(m)
-                        acc[m] = c if prev is None else prev + c
-            prefix += e * degs[i]
-            k += e
-        acc = {m: c for m, c in acc.items() if c}
-        return Poly(acc, prefix + 1) if acc else Poly()
+    def apply_mono(self, mono: Mono) -> Poly:
+        """D(mono) as a polynomial: the one-word view of `columns`."""
+        (terms,) = self.columns([mono])
+        return Poly(terms, self.gens.monomial_degree(mono) + 1) if terms else Poly()
 
     def apply(self, poly: Poly) -> Poly:
         acc: dict = {}
-        for mono, coeff in poly.terms.items():
-            add_scaled(acc, coeff, self.apply_mono(mono).terms)
+        for coeff, terms in zip(poly.terms.values(), self.columns(poly.terms)):
+            add_scaled(acc, coeff, terms)
         return Poly(acc, poly.degree + 1) if acc else Poly()
 
 

@@ -31,11 +31,12 @@ Degree bookkeeping: only monomials in generators of degree <= n can appear
 in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
 previous one and eliminates exactly one new differential, the one on the
-cochains two degrees above the new stage, once (linalg.kernel), for both its
-kernel and its image.  The degree of the new generators gains their words,
-which sort after every older one, and the step carries that degree's data
-on rather than dropping it: the closed generators join the kernel as unit
-rows and the differentials z of the others join the image.  That is the
+cochains two degrees above the new stage, assembled in one pass over the
+degree's words (Derivation.columns) and eliminated once (linalg.kernel), for
+both its kernel and its image.  The degree of the new generators gains their
+words, which sort after every older one, and the step carries that degree's
+data on rather than dropping it: the closed generators join the kernel as
+unit rows and the differentials z of the others join the image.  That is the
 fresh elimination's result exactly when the z are independent modulo the
 coboundaries, which the step checks in time linear in their nonzeros; if
 they are not, or if the grown basis would exceed the guard, it leaves the
@@ -202,9 +203,9 @@ def _diff_data(stage: MinimalModelStage, n: int) -> _DiffData:
         return cached
     blist = basis(stage.gens, n, stage.guard) if n >= 0 else []
     basis_count(stage.gens, n + 1, stage.guard)  # and the degree d lands in
-    col_polys = [stage.diff.apply_mono(m) for m in blist]
-    cocycles = kernel([p.terms for p in col_polys]).rows
-    image = tuple(p for j, p in enumerate(col_polys) if j not in cocycles)
+    columns = stage.diff.columns(blist)
+    cocycles = kernel(columns).rows
+    image = tuple(Poly(c, n + 1) for j, c in enumerate(columns) if j not in cocycles)
     rows = {blist[p]: {blist[j]: c for j, c in r.items()} for p, r in cocycles.items()}
     data = _DiffData(Subspace(len(blist), rows), image)
     stage._data[n] = data

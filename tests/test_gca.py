@@ -20,6 +20,7 @@ from fourfold.gca import (
 )
 from fourfold.linalg import Subspace
 
+import leibniz_reference
 from d_squared_reference import check_d_squared
 from dense_reference import dense_basis, dense_mono_mul, to_word
 
@@ -287,6 +288,25 @@ def test_single_relation_model_matrix():
     # Degree 5 is spanned by u alone; it maps onto x^3.
     assert basis(gens, 5) == [(1,)]
     assert d.apply_mono((1,)) == x3
+
+
+def test_columns_cover_collisions_cubes_and_cancellation():
+    # x even, a and b odd, w even with dw = x*a, v with the cubic dv = x^3.
+    gens = GeneratorSet([("x", 2), ("a", 3), ("b", 3), ("w", 4), ("v", 5)])
+    x, a, b, w = (gen(gens, name) for name in "xabw")
+    x2 = mul(gens, x, x)
+    x3 = mul(gens, x, x2)
+    d = Derivation(gens, {"a": x2, "b": x2, "w": mul(gens, x, a), "v": x3})
+    words = [(1, 3), (0, 4), (0, 1, 3), (1, 2), (0, 0, 3, 3)]
+    cols = d.columns(words)
+    assert cols == [leibniz_reference.apply_mono(d, m) for m in words]
+    # D(aw) = da*w - a*dw, and a*x*a vanishes
+    assert cols[0] == {(0, 0, 3): 1}
+    assert cols[1] == {(0, 0, 0, 0): 1}
+    assert cols[3] == {(0, 0, 2): 1, (0, 0, 1): -1}
+    assert d.columns([]) == []
+    assert d.apply(mul(gens, x, a) - mul(gens, x, b)).is_zero()  # x^3 - x^3
+    assert d.apply(mul(gens, a, w)) == Poly(cols[0], 8)
 
 
 def test_derivation_image_degree_is_checked():

@@ -1,6 +1,6 @@
-"""Property tests: intersection-form invariants, the loop-space ranks, and
-the exit contract of the command line on malformed form files and odd
-argument tokens.
+"""Property tests: intersection-form invariants, the loop-space ranks, the
+batch assembly of a derivation's columns, and the exit contract of the
+command line on malformed form files and odd argument tokens.
 
 Examples are drawn deterministically (`derandomize=True`, a fixed
 `max_examples`, no example database), so every run checks the same cases.
@@ -9,6 +9,7 @@ Examples are drawn deterministically (`derandomize=True`, a fixed
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,9 @@ from fourfold.forms import (
     loop_space_ranks,
     make_form,
 )
+from fourfold.gca import Derivation, GeneratorSet, Poly, basis
+from fourfold.linalg import add_scaled
+import leibniz_reference
 import pbw_reference
 from test_forms import reference_inertia
 
@@ -102,6 +106,48 @@ def test_loop_space_ranks_match_the_series_product(b2, max_degree):
     assert ranks == pbw_reference.loop_space_ranks(b2, max_degree)
     assert list(ranks) == list(range(2, max_degree + 1))
     assert all(type(v) is int and v >= 0 for v in ranks.values())
+
+
+# ---------------------------------------------------------------- derivations
+
+COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def derivations(draw):
+    """Up to five generators of mixed parity; each image is drawn from all
+    words one degree up, so it may be linear, quadratic or a cube (x^3 for a
+    degree-5 generator), and may repeat the image of an earlier generator."""
+    degrees = draw(st.lists(st.integers(2, 6), min_size=1, max_size=5))
+    gens = GeneratorSet([(f"g{i}", d) for i, d in enumerate(degrees)])
+    images = []
+    for d in degrees:
+        same = [img for img, e in zip(images, degrees) if e == d and not img.is_zero()]
+        if same and draw(st.booleans()):
+            images.append(draw(st.sampled_from(same)))
+            continue
+        words = basis(gens, d + 1)
+        chosen = draw(st.lists(st.sampled_from(words), max_size=4, unique=True)) if words else []
+        coeffs = draw(st.lists(COEFFS, min_size=len(chosen), max_size=len(chosen)))
+        images.append(Poly.from_terms(gens, dict(zip(chosen, coeffs))))
+    return Derivation(gens, images)
+
+
+@deterministic(150)
+@given(derivations(), st.integers(2, 10), st.data())
+def test_columns_match_the_per_word_leibniz_loop(d, degree, data):
+    words = basis(d.gens, degree)
+    reference = [leibniz_reference.apply_mono(d, m) for m in words]
+    assert d.columns(words) == reference
+    picked = data.draw(st.lists(st.sampled_from(words), max_size=8)) if words else []
+    assert d.columns(picked) == [leibniz_reference.apply_mono(d, m) for m in picked]
+    # Two words whose columns share a word m: their combination cancels at m.
+    for (u, cu), (w, cw) in zip(zip(words, reference), zip(words[1:], reference[1:])):
+        for m in cu.keys() & cw.keys():
+            poly = Poly.from_terms(d.gens, {u: cw[m], w: -cu[m]})
+            expected = add_scaled(add_scaled({}, cw[m], cu), -cu[m], cw)
+            assert m not in expected
+            assert d.apply(poly).terms == expected
 
 
 # ---------------------------------------------------------------- command line

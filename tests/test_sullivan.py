@@ -26,6 +26,7 @@ from fourfold.sullivan import (
     stage_cohomology,
     verify_stage,
 )
+import leibniz_reference
 from d_squared_reference import check_d_squared
 from fraction_reference import kernel_basis
 from test_gca import gen
@@ -551,15 +552,38 @@ def test_verify_after_build_differentiates_no_word_above_degree_two(
 ):
     stage, _, _ = build(algebra_from_split(*split), max_degree)
     degrees = []
-    real = Derivation.apply_mono
+    real = Derivation.columns
 
-    def spy(self, mono):
-        degrees.append(self.gens.monomial_degree(mono))
-        return real(self, mono)
+    def spy(self, words):
+        words = list(words)
+        degrees.extend(self.gens.monomial_degree(m) for m in words)
+        return real(self, words)
 
-    monkeypatch.setattr(Derivation, "apply_mono", spy)
+    monkeypatch.setattr(Derivation, "columns", spy)
     assert verify_stage(stage).ok
     assert degrees and max(degrees) <= 2
+
+
+@pytest.mark.parametrize(
+    "split,max_degree", [((1, 2), 8), ((4, 0), 6), ((6, 0), 5), ((3, 3), 5), ((4, 3), 5)]
+)
+def test_columns_match_the_per_word_loop_in_every_fresh_degree(monkeypatch, split, max_degree):
+    # the model cells of the deep benchmark workload
+    calls = []
+    real = Derivation.columns
+
+    def spy(self, words):
+        words = list(words)
+        cols = real(self, words)
+        calls.append((self, words, cols))
+        return cols
+
+    monkeypatch.setattr(Derivation, "columns", spy)
+    stage, _, _ = build(algebra_from_split(*split), max_degree)
+    degrees = [stage.gens.monomial_degree(words[0]) for _, words, _ in calls if words]
+    assert degrees == list(range(4, max_degree + 2))  # each assembled once
+    for diff, words, cols in calls:
+        assert cols == [leibniz_reference.apply_mono(diff, m) for m in words]
 
 
 def test_carry_refuses_a_coboundary_among_the_top_z(monkeypatch):
