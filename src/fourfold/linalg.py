@@ -9,16 +9,17 @@ n x 0) are legal everywhere.
 Rows are sparse: dicts from a sortable key, a column index or a monomial
 word, to nonzero value.  One routine, `_eliminate`, reduces rows against
 echelon rows keyed by pivot, lowest first, then back-substitutes; rank,
-kernels, spans, complements and membership (`Subspace.contains`) all go
-through it.  Reduced echelon bases are unique, so results depend only on
-the key order, never on the row order.  `kernel` is the one kernel entry
-point: it transposes the columns of a map into rows with the columns
-reversed and eliminates once; the kernel vectors read off that form are in
-reduced echelon form in the original order.  `span` takes rows of any keys,
-`Subspace.from_vectors` range-checked rows over columns, sparse or dense.
-`add_scaled`, acc += c * row in place, is the one sparse accumulate outside
-elimination.  `QMatrix`, a dense matrix with a transpose and a product, is
-used by no other module; the acceptance suite builds U^T S U with it.
+kernels, image pivots and membership (`Subspace.contains`) all go through
+it.  Reduced echelon bases are unique, so results depend only on the key
+order, never on the row order.  `kernel` is the one kernel entry point: it
+transposes the columns of a map into rows with the columns reversed and
+eliminates once; the kernel vectors read off that form are in reduced
+echelon form in the original order, and the rows that survive name the
+pivots of the image.  `Subspace.from_vectors` takes range-checked rows over
+columns, sparse or dense.  `add_scaled`, acc += c * row in place, is the one
+sparse accumulate outside elimination.  `QMatrix`, a dense matrix with a
+transpose and a product, is used by no other module; the acceptance suite
+builds U^T S U with it.
 """
 
 from __future__ import annotations
@@ -29,19 +30,12 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 __all__ = [
-    "NotContained",
     "QMatrix",
     "Subspace",
     "kernel",
-    "span",
-    "complement_in",
     "exact",
     "add_scaled",
 ]
-
-
-class NotContained(ValueError):
-    """The claimed subspace inclusion does not hold."""
 
 
 def exact(x) -> int | Fraction:
@@ -172,10 +166,12 @@ def _reduce(v: dict, held: dict) -> dict:
 def _eliminate(rows: Iterable[dict]) -> dict:
     """Reduced echelon basis of the span of `rows`, keyed by ascending pivot.
 
-    Consumes `rows`, fresh sparse dicts: each is reduced against the pivot
-    rows kept so far and its nonzero remainder kept as a new pivot row; the
-    kept rows are then back-substituted, highest pivot first, and put in the
-    form of `exact`.  A pivot of 1 or -1 keeps integer rows integral; any
+    Consumes `rows`, fresh sparse dicts, in place and in order: each is
+    reduced against the pivot rows kept so far, and its nonzero remainder is
+    kept as a new pivot row, which is the same dict as the row given.  So a
+    row given is left `{}` exactly when it depends on the rows before it.
+    The kept rows are then back-substituted, highest pivot first, and put in
+    the form of `exact`.  A pivot of 1 or -1 keeps integer rows integral; any
     other is divided out as a Fraction, the only division of the engine.
     """
     held: dict = {}
@@ -202,19 +198,14 @@ def _eliminate(rows: Iterable[dict]) -> dict:
     return {p: done[p] for p in pivots}
 
 
-def span(rows: Iterable[dict]) -> dict:
-    """The reduced echelon basis, by pivot, of sparse rows of any sortable keys."""
-    return _eliminate([{j: x for j, x in row.items() if x} for row in rows])
-
-
 class Subspace:
     """Subspace of Q^n stored by its unique reduced echelon basis.
 
     `rows` maps each pivot, ascending, to a sparse basis row with entry 1
     there and zeros at the other pivots, so equal subspaces compare equal;
     the pivots are columns or other sortable keys, such as one degree's
-    words.  The constructor takes such a dict as it is; `from_vectors` and
-    `span` reduce any spanning rows to one.
+    words.  The constructor takes such a dict as it is; `from_vectors`
+    reduces any spanning rows over columns to one.
     """
 
     __slots__ = ("ambient_dim", "rows")
@@ -252,8 +243,9 @@ class Subspace:
         return not _reduce(dict(vector), self.rows)
 
 
-def kernel(columns: Sequence[dict]) -> Subspace:
-    """Kernel of the map that sends basis vector j to `columns[j]`.
+def kernel(columns: Sequence[dict]) -> tuple[Subspace, frozenset]:
+    """Kernel of the map that sends basis vector j to `columns[j]`, and the
+    pivots of its image.
 
     Each column is a sparse dict keyed by any sortable coordinate of the
     target.  The transpose, one row per key in sorted order with column j
@@ -261,7 +253,10 @@ def kernel(columns: Sequence[dict]) -> Subspace:
     rows go to `_eliminate` as they are, and is eliminated once to R.  A free
     column f' of R gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f' and
     pivots p' < f'; in the original order it leads with 1 at a free column and
-    vanishes at every other one: the kernel's reduced echelon basis.
+    vanishes at every other one: the kernel's reduced echelon basis.  The
+    row of a key survives exactly when it is independent of the rows of the
+    keys before it, the rule for a pivot of the image's reduced echelon
+    basis: those keys are the second value.
     """
     ncols = len(columns)
     last = ncols - 1
@@ -270,7 +265,8 @@ def kernel(columns: Sequence[dict]) -> Subspace:
         for key, x in column.items():
             if x:
                 rows.setdefault(key, {})[last - j] = x
-    reduced = _eliminate([rows[key] for key in sorted(rows)])
+    keys = sorted(rows)
+    reduced = _eliminate([rows[key] for key in keys])
     vectors = {f: {f: 1} for f in range(ncols)}
     for p in reduced:
         del vectors[last - p]
@@ -278,22 +274,4 @@ def kernel(columns: Sequence[dict]) -> Subspace:
         for f, x in row.items():
             if f != p:
                 vectors[last - f][last - p] = -x
-    return Subspace(ncols, vectors)
-
-
-def complement_in(sub: Subspace, within: Subspace) -> Subspace:
-    """Deterministic complement of `sub` inside `within`.
-
-    Raises NotContained unless every basis vector of `sub` lies in `within`.
-    The result is the part of `within` that vanishes on the pivot columns of
-    `sub`: together with `sub` it spans `within` and meets `sub` only in 0.
-    The pivots of `sub` are pivots of `within`, whose other reduced rows
-    vanish there, so those rows are already its reduced echelon basis.
-    """
-    if sub.ambient_dim != within.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    for row in sub.rows.values():
-        if not within.contains(row):
-            raise NotContained("subspace is not contained in the ambient one")
-    kept = {p: row for p, row in within.rows.items() if p not in sub.rows}
-    return Subspace(sub.ambient_dim, kept)
+    return Subspace(ncols, vectors), frozenset(key for key in keys if rows[key])

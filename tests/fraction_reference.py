@@ -6,8 +6,8 @@ plain rational sweeps: a congruence diagonalization that also returns the
 change of basis, and a Gaussian-elimination determinant.
 
 The package eliminates sparse rows only; `rref` and `kernel_basis` wrap
-`Subspace.from_vectors` and `kernel` (which takes the matrix's columns) for
-dense `QMatrix` inputs.
+`Subspace.from_vectors` and `kernel` (which takes the matrix's columns and
+also returns the image's pivots, dropped here) for dense `QMatrix` inputs.
 """
 
 from fractions import Fraction
@@ -114,4 +114,4 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
 def kernel_basis(matrix: QMatrix) -> Subspace:
     """Basis of {v : Mv = 0} with dim = cols - rank."""
     columns = [{i: row[j] for i, row in enumerate(matrix.entries)} for j in range(matrix.cols)]
-    return kernel(columns)
+    return kernel(columns)[0]

@@ -7,7 +7,7 @@ import pytest
 from fourfold import linalg
 from fourfold.forms import NotSymmetric, algebra_from_split
 from fourfold.gca import basis
-from fourfold.linalg import NotContained, QMatrix, Subspace, complement_in, kernel, span
+from fourfold.linalg import QMatrix, Subspace, kernel
 from fourfold.sullivan import build
 from fraction_reference import congruence_diagonalize, determinant, kernel_basis, rref
 
@@ -143,46 +143,63 @@ def test_repr_evaluates_to_an_equal_subspace():
     assert repr(spaces[2]).startswith("Subspace(5, {0: {0: 1, 1: 2, 4: Fraction(-1, 2)}")
 
 
+def complement_of_image(inner, outer):
+    """The cocycle rows of a complex `inner` then `outer` (given by columns)
+    whose lead is no pivot of the image of `inner`, as `sullivan._cohomology`
+    reads H^n off its kernel data."""
+    cocycles, _ = kernel(outer)
+    _, bounds = kernel(inner)
+    return {p: row for p, row in cocycles.rows.items() if p not in bounds}
+
+
 def test_complement_of_itself_is_zero():
-    s = Subspace.from_vectors(3, [[1, 0, 2], [0, 1, 0]])
-    assert complement_in(s, s).dim == 0
+    outer = [{0: 1}, {}, {0: -1}]  # cocycles: e0 + e2 and e1
+    inner = [{0: 2, 2: 2}, {1: 3}, {0: 1, 1: 1, 2: 1}]
+    assert kernel(inner)[1] == set(kernel(outer)[0].rows) == {0, 1}
+    assert complement_of_image(inner, outer) == {}
 
 
 def test_complement_of_zero_is_everything():
-    full = Subspace(2, {0: {0: F(1)}, 1: {1: F(1)}})
-    assert complement_in(Subspace(2, {}), full) == full
+    outer = [{0: 1}, {}, {0: -1}]
+    for inner in ([], [{}, {}], [{1: 0}]):
+        assert complement_of_image(inner, outer) == kernel(outer)[0].rows
 
 
 def test_complement_splits_ambient():
-    sub = Subspace.from_vectors(3, [[1, 0, 0]])
-    comp = complement_in(sub, Subspace(3, {0: {0: F(1)}, 1: {1: F(1)}, 2: {2: F(1)}}))
-    assert comp.dim == 2
-    stacked = Subspace.from_vectors(3, list(sub.basis) + list(comp.basis))
+    inner = [{0: F(1)}]
+    comp = complement_of_image(inner, [{}, {}, {}])
+    assert comp == {1: {1: 1}, 2: {2: 1}}
+    sub = Subspace.from_vectors(3, inner)
+    stacked = Subspace.from_vectors(3, list(sub.basis) + list(comp.values()))
     assert stacked.dim == 3
-    for v in comp.basis:
+    for v in comp.values():
         assert not contains(sub, v)
 
 
 def test_complement_random_dimension_count():
     rng = random.Random(3)
-    for _ in range(30):
+    for _ in range(60):
         n = rng.randint(1, 6)
-        within = Subspace.from_vectors(
-            n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
-        )
-        k = rng.randint(0, within.dim)
-        sub = Subspace.from_vectors(n, within.basis[:k])
-        comp = complement_in(sub, within)
-        assert sub.dim + comp.dim == within.dim
-        stacked = Subspace.from_vectors(n, list(sub.basis) + list(comp.basis))
-        assert stacked.dim == within.dim
-
-
-def test_complement_not_contained():
-    sub = Subspace.from_vectors(2, [[1, 0]])
-    within = Subspace.from_vectors(2, [[0, 1]])
-    with pytest.raises(NotContained):
-        complement_in(sub, within)
+        outer = [
+            {i: rng.randint(-2, 2) for i in range(rng.randint(0, 3))} for _ in range(n)
+        ]
+        cocycles, _ = kernel(outer)
+        # coboundaries: integer combinations of the cocycles, so B lies in Z
+        inner = []
+        for _ in range(rng.randint(0, cocycles.dim + 1)):
+            column: dict = {}
+            for row in cocycles.rows.values():
+                linalg.add_scaled(column, rng.randint(-2, 2), row)
+            inner.append(column)
+        sub = Subspace.from_vectors(n, inner)
+        bounds = kernel(inner)[1]
+        assert bounds == set(sub.rows) <= set(cocycles.rows)
+        comp = complement_of_image(inner, outer)
+        assert sub.dim + len(comp) == cocycles.dim
+        stacked = Subspace.from_vectors(n, list(sub.rows.values()) + list(comp.values()))
+        assert stacked == cocycles
+        dense = [tuple(row.get(j, 0) for j in range(n)) for row in comp.values()]
+        assert dense == ref_complement(sub.basis, cocycles.basis, n)
 
 
 def test_membership_matches_the_rank_test():
@@ -418,20 +435,7 @@ def test_sparse_kernel_matches_dense_reference(shape):
         assert got_pivots == tuple(pivots) and rank == len(pivots)
         assert r.entries == tuple(reduced) + ((F(0),) * ncols,) * (m.rows - rank)
         assert kernel_basis(m).basis == tuple(ref_kernel(rows, ncols))
-        within = Subspace.from_vectors(ncols, rows)
-        assert within.basis == tuple(reduced)
-        combos = [
-            [rng.randint(-2, 2) for _ in within.basis]
-            for _ in range(rng.randint(0, within.dim))
-        ]
-        sub = Subspace.from_vectors(ncols, [
-            [sum((c * row[j] for c, row in zip(combo, within.basis)), F(0)) for j in range(ncols)]
-            for combo in combos
-        ])
-        comp = complement_in(sub, within)
-        assert comp.basis == tuple(ref_complement(sub.basis, within.basis, ncols))
-        assert complement_in(Subspace(ncols, {}), within) == within
-        assert complement_in(within, within).dim == 0
+        assert Subspace.from_vectors(ncols, rows).basis == tuple(reduced)
 
 
 def canonical(x):
@@ -469,21 +473,10 @@ def test_integer_rows_match_dense_reference_in_canonical_form(shape, mixed):
         got = list(within.rows.values())
         assert list(within.rows) == pivots
         assert [tuple(r.get(j, 0) for j in range(ncols)) for r in got] == list(reduced)
-        null = kernel(transpose(rows, ncols))
+        null, _ = kernel(transpose(rows, ncols))
         assert null.basis == tuple(ref_kernel(dense, ncols))
         assert kernel_basis(mat(dense, cols=ncols)) == null
-        combos = []
-        for _ in range(rng.randint(0, within.dim)):
-            combo: dict = {}
-            for row in within.rows.values():
-                c = rng.randint(-2, 2)
-                for j, x in row.items():
-                    combo[j] = combo.get(j, 0) + c * x
-            combos.append(combo)
-        sub = Subspace.from_vectors(ncols, combos)
-        comp = complement_in(sub, within)
-        assert comp.basis == tuple(ref_complement(sub.basis, within.basis, ncols))
-        outputs = got + [r for s in (null, within, sub, comp) for r in s.rows.values()]
+        outputs = got + [r for s in (null, within) for r in s.rows.values()]
         assert all(canonical(x) for r in outputs for x in r.values())
 
 
@@ -522,6 +515,7 @@ def test_sparse_and_dense_rows_agree():
 
 
 def test_span_matches_from_vectors_under_any_sortable_keys():
+    # the pivots `kernel` reports are those of the span of its columns
     rng = random.Random("span")
 
     def word(j):  # sorts as j does, like the words of one degree
@@ -534,14 +528,48 @@ def test_span_matches_from_vectors_under_any_sortable_keys():
             for _ in range(rng.randint(0, 6))
         ]
         before = [dict(row) for row in rows]
-        expected = Subspace.from_vectors(ncols, rows).rows
-        assert span(rows) == expected
+        expected = set(Subspace.from_vectors(ncols, rows).rows)
+        assert kernel(rows)[1] == expected
         keyed = [{word(j): x for j, x in row.items()} for row in rows]
-        assert span(keyed) == {
-            word(p): {word(j): x for j, x in row.items()} for p, row in expected.items()
-        }
+        assert kernel(keyed)[1] == {word(p) for p in expected}
         assert rows == before
-    assert span([{(0, 1): 0, (1,): F(2)}]) == {(1,): {(1,): 1}}
+    assert kernel([{(0, 1): 0, (1,): F(2)}])[1] == {(1,)}
+
+
+def ref_image_pivots(columns):
+    """The pivots of the reduced echelon basis of the span of `columns`,
+    read off a dense elimination over the sorted keys they use."""
+    keys = sorted({key for column in columns for key in column})
+    dense = [[column.get(key, 0) for key in keys] for column in columns]
+    return {keys[p] for p in ref_rref(dense, len(keys))[1]}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["int", "mixed"])
+def test_kernel_pivots_match_a_dense_reference(mixed):
+    rng = random.Random(f"kernel-pivots-{mixed}")
+
+    def value():
+        x = rng.choice([-3, -2, -1, 1, 2, 3])
+        return F(x, rng.choice([2, 3])) if mixed and rng.random() < 0.4 else x
+
+    for trial in range(120):
+        nkeys = rng.randint(1, 9)
+        keys = [(j // 3, j % 3) for j in range(nkeys)] if trial % 2 else list(range(nkeys))
+        columns = []
+        for _ in range(rng.randint(0, 9)):
+            kind = rng.random()
+            if columns and kind < 0.15:
+                columns.append(dict(rng.choice(columns)))  # repeated
+            elif kind < 0.25:
+                columns.append({})  # zero
+            elif kind < 0.3:
+                columns.append({rng.choice(keys): 0})  # a stored zero
+            else:
+                columns.append({k: value() for k in rng.sample(keys, rng.randint(1, nkeys))})
+        null, pivots = kernel(columns)
+        assert pivots == ref_image_pivots(columns)
+        assert len(pivots) + null.dim == len(columns)  # rank + nullity
+    assert kernel([]) == (Subspace(0, {}), set())
 
 
 def differential_rows(b2, max_degree, degree):
@@ -570,7 +598,7 @@ def test_kernel_of_a_real_differential_matches_dense_reference():
     null = kernel_basis(mat(dense, cols=ncols))
     assert 0 < null.dim < ncols
     assert null.basis == tuple(ref_kernel(dense, ncols))
-    assert kernel(transpose(rows, ncols)) == null
+    assert kernel(transpose(rows, ncols))[0] == null
 
 
 def transpose(rows, ncols):
@@ -596,9 +624,10 @@ def test_kernel_of_columns_keyed_by_monomial_words():
     targets = basis(stage.gens, 7)
     assert len({len(word) for word in targets}) > 1
     differential = [stage.diff.apply_mono(m).terms for m in basis(stage.gens, 6)]
-    null = kernel(differential)
+    null, pivots = kernel(differential)
     assert 0 < null.dim < len(differential)
     assert null.basis == ref_kernel_of_columns(differential)
+    assert pivots == ref_image_pivots(differential)
     rng = random.Random("word-columns")
     for _ in range(40):
         columns = [
@@ -606,21 +635,23 @@ def test_kernel_of_columns_keyed_by_monomial_words():
              for w in rng.sample(targets, rng.randint(0, 3))}
             for _ in range(rng.randint(1, 12))
         ]
-        got = kernel(columns)
+        got, pivots = kernel(columns)
         assert got.basis == ref_kernel_of_columns(columns)
+        assert pivots == ref_image_pivots(columns)
         assert all(canonical(x) for r in got.rows.values() for x in r.values())
 
 
 def test_kernel_of_degenerate_columns():
-    assert kernel([]) == Subspace(0, {})
-    # all-empty columns: everything is in the kernel
-    assert kernel([{}, {}, {}]) == Subspace(3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}})
+    assert kernel([]) == (Subspace(0, {}), set())
+    # all-empty columns: everything is in the kernel, and the image is 0
+    assert kernel([{}, {}, {}]) == (Subspace(3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}), set())
     # a stored zero contributes nothing, even as a column's only entry
     stored = [{"a": 1, "b": 0}, {"b": 0}, {"a": -1, "c": 0}, {"a": 0, "c": 2}]
     cleaned = [{k: x for k, x in column.items() if x} for column in stored]
-    assert kernel(stored) == kernel(cleaned) == Subspace(4, {0: {0: 1, 2: 1}, 1: {1: 1}})
-    assert kernel(stored).basis == ref_kernel_of_columns(stored)
-    assert kernel([{0: 0}] * 2).basis == ref_kernel_of_columns([{0: 0}] * 2)
+    null = Subspace(4, {0: {0: 1, 2: 1}, 1: {1: 1}})
+    assert kernel(stored) == kernel(cleaned) == (null, {"a", "c"})
+    assert kernel(stored)[0].basis == ref_kernel_of_columns(stored)
+    assert kernel([{0: 0}] * 2)[0].basis == ref_kernel_of_columns([{0: 0}] * 2)
 
 
 def test_kernel_eliminates_once(monkeypatch):
