@@ -407,7 +407,11 @@ def complete_intersection_split(degrees: Sequence[int]) -> tuple[int, int]:
 
 
 def rationally_equivalent(q1: IntersectionForm, q2: IntersectionForm) -> bool:
-    """Rational equivalence of unimodular forms: same rank and signature."""
+    """Rational equivalence of unimodular forms: same rank and signature.
+
+    This is the oriented rational homotopy type, so CP^2 and CP^2-bar, with
+    signatures 1 and -1, are not equivalent.
+    """
     return q1.rank == q2.rank and q1.signature == q2.signature
 
 

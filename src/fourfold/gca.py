@@ -322,13 +322,10 @@ class Derivation:
 
     __slots__ = ("gens", "images")
 
-    def __init__(self, gens: GeneratorSet, images):
-        if isinstance(images, Mapping):
-            aligned = [images.get(g.name, Poly.zero()) for g in gens]
-        else:
-            aligned = list(images)
-            if len(aligned) != len(gens):
-                raise ValueError("one image per generator is required")
+    def __init__(self, gens: GeneratorSet, images: Sequence[Poly]):
+        aligned = list(images)
+        if len(aligned) != len(gens):
+            raise ValueError("one image per generator is required")
         for g, img in zip(gens, aligned):
             if img.is_zero():
                 continue
@@ -380,11 +377,6 @@ class Derivation:
             out.append(column)
         return out
 
-    def apply_mono(self, mono: Mono) -> Poly:
-        """D(mono) as a polynomial: the one-word view of `columns`."""
-        (terms,) = self.columns([mono])
-        return Poly(terms, self.gens.monomial_degree(mono) + 1) if terms else Poly()
-
     def apply(self, poly: Poly) -> Poly:
         acc: dict = {}
         for coeff, terms in zip(poly.terms.values(), self.columns(poly.terms)):
@@ -418,7 +410,7 @@ def decomposable_subspace(
                 sm = mono_mul(gens, m1, m2)
                 if sm is not None:
                     hit.add(index[sm[1]])
-    return Subspace.from_vectors(len(blist), [{i: 1} for i in sorted(hit)])
+    return Subspace(len(blist), {i: {i: 1} for i in sorted(hit)})
 
 
 def format_mono(gens: GeneratorSet, mono: Mono) -> str:

@@ -9,17 +9,17 @@ n x 0) are legal everywhere.
 Rows are sparse: dicts from a sortable key, a column index or a monomial
 word, to nonzero value.  One routine, `_eliminate`, reduces rows against
 echelon rows keyed by pivot, lowest first, then back-substitutes; rank,
-kernels, image pivots and membership (`Subspace.contains`) all go through
-it.  Reduced echelon bases are unique, so results depend only on the key
-order, never on the row order.  `kernel` is the one kernel entry point: it
-transposes the columns of a map into rows with the columns reversed and
-eliminates once; the kernel vectors read off that form are in reduced
-echelon form in the original order, and the rows that survive name the
-pivots of the image.  `Subspace.from_vectors` takes range-checked rows over
-columns, sparse or dense.  `add_scaled`, acc += c * row in place, is the one
-sparse accumulate outside elimination.  `QMatrix`, a dense matrix with a
-transpose and a product, is used by no other module; the acceptance suite
-builds U^T S U with it.
+kernels and image pivots go through it, and membership
+(`Subspace.contains`) through its reduction step.  Reduced echelon bases
+are unique, so results depend only on the key order, never on the row
+order.  `kernel` is the one way into elimination: it transposes the columns
+of a map into rows with the columns reversed and eliminates once; the
+kernel vectors read off that form are in reduced echelon form in the
+original order, and the rows that survive name the pivots of the image, so
+the rank of a map is the size of that set.  `add_scaled`, acc += c * row in
+place, is the one sparse accumulate outside elimination.  `QMatrix`, a dense
+matrix with a transpose and a product, is used by no other module; the
+acceptance suite builds U^T S U with it.
 """
 
 from __future__ import annotations
@@ -113,23 +113,6 @@ class QMatrix:
         return QMatrix(self.rows, other.cols, tuple(out))
 
 
-def _sparse(vector, ncols: int) -> dict:
-    """A fresh sparse copy, without zeros, of a row given as a dict or a dense sequence."""
-    if isinstance(vector, dict):
-        if vector and (min(vector) < 0 or max(vector) >= ncols):
-            raise ValueError("row has a column beyond the ambient dimension")
-        if all(vector.values()):
-            return dict(vector)
-        return {j: x for j, x in vector.items() if x}
-    if len(vector) != ncols:
-        raise ValueError("row length mismatch")
-    return {j: x for j, x in enumerate(_fraction_row(vector)) if x}
-
-
-def _dense(row: dict, ncols: int) -> tuple:
-    return tuple(row.get(j, 0) for j in range(ncols))
-
-
 def _reduce(v: dict, held: dict) -> dict:
     """Clear, in place, the columns of `v` that are pivots of `held`.
 
@@ -204,8 +187,8 @@ class Subspace:
     `rows` maps each pivot, ascending, to a sparse basis row with entry 1
     there and zeros at the other pivots, so equal subspaces compare equal;
     the pivots are columns or other sortable keys, such as one degree's
-    words.  The constructor takes such a dict as it is; `from_vectors`
-    reduces any spanning rows over columns to one.
+    words.  The constructor takes such a dict as it is; `kernel` builds
+    one for the kernel of a map.
     """
 
     __slots__ = ("ambient_dim", "rows")
@@ -214,19 +197,9 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = rows
 
-    @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Sequence) -> "Subspace":
-        rows = _eliminate([_sparse(v, ambient_dim) for v in vectors])
-        return Subspace(ambient_dim, rows)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def basis(self) -> tuple[tuple, ...]:
-        """The basis rows as dense tuples."""
-        return tuple(_dense(r, self.ambient_dim) for r in self.rows.values())
 
     def __eq__(self, other) -> bool:
         return (

@@ -259,8 +259,8 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
         image_vectors = [
             stage.qm.on_poly(algebra, Poly(z, k + 1)) for z in low.kernel.rows.values()
         ]
-        reached = Subspace.from_vectors(target_dim, image_vectors)
-        y_images = [{p: 1} for p in range(target_dim) if p not in reached.rows]
+        reached = kernel(image_vectors)[1]
+        y_images = [{p: 1} for p in range(target_dim) if p not in reached]
     else:
         y_images = []
 
@@ -422,7 +422,7 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
             continue
         if target:
             rows = [stage.qm.on_poly(algebra, rep) for rep in reps]
-            rank = Subspace.from_vectors(target, rows).dim
+            rank = len(kernel(rows)[1])
             if rank != target:
                 iso_failures.append(f"H^{i}: induced map has rank {rank}")
     checks.append(

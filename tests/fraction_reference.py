@@ -5,9 +5,10 @@ integer elimination (`forms._inertia`).  The tests compare it with these
 plain rational sweeps: a congruence diagonalization that also returns the
 change of basis, and a Gaussian-elimination determinant.
 
-The package eliminates sparse rows only; `rref` and `kernel_basis` wrap
-`Subspace.from_vectors` and `kernel` (which takes the matrix's columns and
-also returns the image's pivots, dropped here) for dense `QMatrix` inputs.
+The package's one way into elimination is `kernel`, which takes the
+columns of a map and also returns the image's pivots.  `kernel_basis` wraps
+it for dense `QMatrix` inputs; `span` reaches the reduced echelon basis of
+a span of rows through it, and `rref` wraps `span`.
 """
 
 from fractions import Fraction
@@ -105,7 +106,8 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
 
     Returns (R, pivot columns, rank); R is the unique RREF of the input.
     """
-    reduced = Subspace.from_vectors(matrix.cols, matrix.entries).rows
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
+    reduced = span(matrix.cols, rows).rows
     entries = [tuple(r.get(j, _ZERO) for j in range(matrix.cols)) for r in reduced.values()]
     entries += [(_ZERO,) * matrix.cols] * (matrix.rows - len(entries))
     return QMatrix(matrix.rows, matrix.cols, tuple(entries)), tuple(reduced), len(reduced)
@@ -115,3 +117,28 @@ def kernel_basis(matrix: QMatrix) -> Subspace:
     """Basis of {v : Mv = 0} with dim = cols - rank."""
     columns = [{i: row[j] for i, row in enumerate(matrix.entries)} for j in range(matrix.cols)]
     return kernel(columns)[0]
+
+
+def transpose(rows, ncols: int) -> list:
+    """The columns of a matrix given by sparse rows, keyed by row index."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return columns
+
+
+def span(ncols: int, rows) -> Subspace:
+    """The reduced echelon basis of the span of sparse `rows` over columns
+    0..ncols-1, by two kernels: the span is the annihilator of its
+    annihilator, and the annihilator of some rows is the kernel of the map
+    whose columns are their transpose."""
+    annihilator, _ = kernel(transpose(rows, ncols))
+    return kernel(transpose(annihilator.rows.values(), ncols))[0]
+
+
+def dense(sub: Subspace) -> tuple[tuple, ...]:
+    """The basis rows of a subspace keyed by column 0..n-1, as dense tuples."""
+    n = sub.ambient_dim
+    assert all(set(row) <= set(range(n)) for row in sub.rows.values())
+    return tuple(tuple(row.get(j, 0) for j in range(n)) for row in sub.rows.values())

@@ -353,6 +353,13 @@ def test_classify_distinguishes_signature(capsys):
     assert "NOT equivalent" in out
 
 
+def test_classify_decides_the_oriented_type(capsys):
+    # the README's example: opposite signatures are different oriented types
+    code, out, _ = run(capsys, "classify", "cp2", "cp2bar")
+    assert code == 0
+    assert out.splitlines()[-1] == "  rational homotopy type: NOT equivalent"
+
+
 def test_classify_e8_against_diagonal(capsys):
     code, out, _ = run(capsys, "classify", "e8", "diag:1,1,1,1,1,1,1,1")
     assert code == 0
@@ -692,7 +699,7 @@ def test_verify_single_rank_all_splits(capsys):
 
 # sha256 of the stdout of each sweep benchmark command, recorded before
 # `_diff_data`, `stage_cohomology` and `verify_stage` moved onto
-# `linalg.kernel` and `Subspace.from_vectors`.
+# `linalg.kernel`.
 VERIFY_DIGESTS = {
     "verify --all-splits":
         "ac2ca90a090c74b15df3f9b844fa7bc41e9c28647fb689541c8da4ec88a94dda",

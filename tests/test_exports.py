@@ -1,6 +1,7 @@
 """Every name a fourfold module exports exists, the package root exports
-exactly the four calls of the README's Library example, and no module
-imports another's private names."""
+exactly the four calls of the README's Library example, no module imports
+another's private names, and `linalg.kernel` is the one way into
+elimination."""
 
 import ast
 import importlib
@@ -65,3 +66,37 @@ def test_no_module_imports_a_private_name_from_another():
     assert len(sources) >= 6
     found = {path.name: private_imports(path.read_text()) for path in sources}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def uses(source, name):
+    """The function, by qualified name, around each read of `name` in
+    `source`, as a bare name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_kernel_reaches_the_elimination():
+    sample = (
+        "def f(x):\n    return g(_eliminate(x))\n"
+        "class C:\n    def m(self):\n        run = linalg._eliminate\n"
+        "h = _eliminate\n"
+    )
+    assert uses(sample, "_eliminate") == ["f", "C.m", "<module>"]
+    sources = sorted(Path(fourfold.__file__).parent.glob("*.py"))
+    found = {path.name: uses(path.read_text(), "_eliminate") for path in sources}
+    assert {name: where for name, where in found.items() if where} == {
+        "linalg.py": ["kernel"]
+    }

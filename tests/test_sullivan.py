@@ -15,7 +15,7 @@ from fourfold.gca import (
     basis,
     mul,
 )
-from fourfold.linalg import QMatrix, Subspace
+from fourfold.linalg import QMatrix, kernel
 from fourfold.sullivan import (
     MinimalModelStage,
     NotSimplyConnected,
@@ -28,7 +28,7 @@ from fourfold.sullivan import (
 )
 import leibniz_reference
 from d_squared_reference import check_d_squared
-from fraction_reference import kernel_basis
+from fraction_reference import kernel_basis, span
 from test_gca import gen
 from test_linalg import canonical, ref_complement, ref_rref
 
@@ -93,31 +93,22 @@ def test_first_extension_rank_three_adds_five_exact_generators():
     # The differentials span exactly the quadrics killed by the pairing:
     # x1^2 - x2^2, x1^2 - x3^2 and all off-diagonal products.
     gens = stage.gens
-    quadrics = basis(gens, 4)
-    index = {m: i for i, m in enumerate(quadrics)}
-
-    def vec(p):
-        v = [F(0)] * len(quadrics)
-        for m, c in p.terms.items():
-            v[index[m]] = c
-        return v
-
     x = [gen(gens, f"x{i}") for i in (1, 2, 3)]
     sq = lambda i: mul(gens, x[i - 1], x[i - 1])
-    expected = Subspace.from_vectors(
-        len(quadrics),
-        [
-            vec(sq(1) - sq(2)),
-            vec(sq(1) - sq(3)),
-            vec(mul(gens, x[0], x[1])),
-            vec(mul(gens, x[0], x[2])),
-            vec(mul(gens, x[1], x[2])),
-        ],
-    )
-    got = Subspace.from_vectors(
-        len(quadrics), [vec(stage.diff.images[gens.index(g.name)]) for g in new]
-    )
-    assert got == expected
+    expected = [
+        sq(1) - sq(2),
+        sq(1) - sq(3),
+        mul(gens, x[0], x[1]),
+        mul(gens, x[0], x[2]),
+        mul(gens, x[1], x[2]),
+    ]
+    got = [stage.diff.images[gens.index(g.name)] for g in new]
+
+    def rank(polys):
+        return len(kernel([p.terms for p in polys])[1])
+
+    # equal spans: both have rank 5, and so has their union
+    assert rank(got) == rank(expected) == rank(got + expected) == 5
 
 
 def test_first_extension_keeps_quasi_morphism_zero_on_new_generators():
@@ -177,13 +168,13 @@ def hand_stage(split):
     )
     x = {i: gen(gens, f"x{i}") for i in (1, 2, 3)}
     sq = lambda i: mul(gens, x[i], x[i])
-    images = {}
+    images = [Poly.zero()] * 3
     for i in (2, 3):
         s_i = -1 if sign(i) == sign(1) else 1
-        images[f"v{i}"] = sq(1) + sq(i).scaled(s_i)
-    images["v12"] = mul(gens, x[1], x[2])
-    images["v13"] = mul(gens, x[1], x[3])
-    images["v23"] = mul(gens, x[2], x[3])
+        images.append(sq(1) + sq(i).scaled(s_i))  # v2, v3
+    images.append(mul(gens, x[1], x[2]))  # v12
+    images.append(mul(gens, x[1], x[3]))  # v13
+    images.append(mul(gens, x[2], x[3]))  # v23
     return gens, Derivation(gens, images)
 
 
@@ -196,9 +187,9 @@ def test_degree5_system_matches_differential_kernel(split):
     reps = stage_cohomology(stage, 5)
     # no coboundaries, so the representatives span the cocycles
     assert sullivan._diff_data(stage, 4).bounds == set()
-    blist = basis(gens, 5)
-    engine_kernel = Subspace.from_vectors(
-        len(blist), [[rep.terms.get(m, F(0)) for m in blist] for rep in reps]
+    index = {m: i for i, m in enumerate(basis(gens, 5))}
+    engine_kernel = span(
+        len(index), [{index[m]: c for m, c in rep.terms.items()} for rep in reps]
     )
     system_kernel = kernel_basis(
         QMatrix.from_rows(cochain_coefficient_system(split), cols=15)
@@ -387,6 +378,28 @@ def test_verify_detects_chain_map_violation():
     report = verify_stage(broken)
     failed = {c.name for c in report.failures()}
     assert "chain_map" in failed
+
+
+@pytest.mark.parametrize(
+    "split,max_degree,images,detail",
+    [
+        # x1 and x2 both sent to the first class of H^2: rank 1 of 2
+        ((2, 0), 2, ({0: 1}, {0: 1}), "H^2: induced map has rank 1"),
+        # S^4: u4_1 sent to zero, so H^4 = Q maps to nothing
+        ((0, 0), 4, ({},), "H^4: induced map has rank 0"),
+    ],
+    ids=["b2=2-rank-1", "b2=0-rank-0"],
+)
+def test_verify_detects_a_degenerate_induced_map(split, max_degree, images, detail):
+    # H^n of the stage has the target's dimension, so only the rank of the
+    # induced map can fail
+    stage, _, _ = build(algebra_from_split(*split), max_degree)
+    assert len(stage.qm.images) == len(images)
+    broken = MinimalModelStage(
+        stage.algebra, stage.gens, stage.diff, QuasiMorphism(images), stage.k
+    )
+    failures = {c.name: c.detail for c in verify_stage(broken).failures()}
+    assert failures == {"cohomology_isomorphism": detail}
 
 
 # (b2, split, degrees with generators up to the top degree of the cell)
@@ -703,7 +716,7 @@ def _mutated_stages(seed):
                 products = [m for m in basis(gens, degree) if len(m) > 1]
                 if products and rng.random() < 0.5:
                     # a coboundary: d of a product of lower-degree generators
-                    shift = stage.diff.apply_mono(rng.choice(products))
+                    shift = stage.diff.apply(Poly.from_terms(gens, {rng.choice(products): 1}))
                 else:
                     words = [m for m in basis(gens, degree + 1) if len(m) > 1]
                     shift = Poly.from_terms(gens, {
