@@ -256,21 +256,23 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> It
 
     Yields one piece per generator, so the whole document is never held in
     memory.  Rendered directly, since with `indent` set `json` falls back to
-    its pure-Python encoder.  Each distinct monomial's factor list is
-    rendered once and reused.  A coefficient is an int or a Fraction
+    its pure-Python encoder.  Each letter's exponent-1 factor is rendered
+    once; a square-free word's factor list joins those, and any other word's
+    goes through `groupby`.  A coefficient is an int or a Fraction
     (`linalg.exact`), whose text holds only digits, "-" and "/", so it needs
     no escaping; names go through `json.dumps` (the C string encoder).
     """
     names = [json.dumps(g.name) for g in stage.gens]
-    monomials: dict = {}  # word -> its rendered factor list
+    letters = [_FACTOR % (name, 1) for name in names]  # each letter to the power 1
     yield '{\n  "generators": ['
     sep, close = "\n", "]"
     for i, g in enumerate(stage.gens):
         terms = []
         for mono, coeff in sorted(stage.diff.image(i).terms.items()):
-            factors = monomials.get(mono)
-            if factors is None:
-                factors = monomials[mono] = _FACTOR_SEP.join(
+            if len(set(mono)) == len(mono):
+                factors = _FACTOR_SEP.join([letters[j] for j in mono])
+            else:
+                factors = _FACTOR_SEP.join(
                     [_FACTOR % (names[j], len(list(run))) for j, run in groupby(mono)]
                 )
             terms.append(_TERM % (coeff, factors))

@@ -19,14 +19,17 @@ Leibniz rule.  On a monomial m = x_0^e_0 ... x_n^e_n it is
 D(m) = sum_i e_i (-1)^(|x_i| |p_i|) d(x_i) * (m / x_i), where p_i is the part
 of m before x_i: the sign is negative exactly when x_i and p_i both have odd
 degree.  No two terms share a word, as t * (m / x_i) = t' * (m / x_j) with
-i != j needs t = x_i * s, |s| = 1; so `Derivation.columns` sets each once.
+i != j needs t = x_i * s, |s| = 1; so `Derivation.rows`, which writes D of a
+word list straight into the rows that `linalg.kernel` eliminates, sets each
+entry once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from copy import copy
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Subspace, add_scaled, exact
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 200_000
+_NO_DEGREE = 1 << 60  # above every degree: the least degree of no generator
 
 Mono = tuple  # ascending word of generator indices
 
@@ -84,27 +88,36 @@ class GeneratorSet:
     __slots__ = ("generators", "_index", "_degrees", "_odd", "_suffix_min")
 
     def __init__(self, generators: Iterable):
+        self.generators = self._degrees = self._odd = ()
+        self._index: dict = {}
+        self._suffix_min = (_NO_DEGREE,)
+        self._append(generators)
+
+    def _append(self, more: Iterable) -> None:
+        """Append `more` while the set is being made, checking only them."""
         gens = []
-        for g in generators:
+        for g in more:
             if not isinstance(g, Generator):
                 name, degree = g
                 g = Generator(str(name), int(degree))
             if g.degree < 2:
                 raise ValueError(f"generator {g.name} has degree {g.degree} < 2")
             gens.append(g)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
+        index = dict(self._index)
+        index.update(zip([g.name for g in gens], range(len(index), len(index) + len(gens))))
+        if len(index) != len(self._index) + len(gens):
             raise ValueError("generator names must be unique")
-        self.generators = tuple(gens)
-        self._index = {g.name: i for i, g in enumerate(gens)}
-        self._degrees = tuple(g.degree for g in gens)
-        self._odd = tuple(g.degree % 2 == 1 for g in gens)
-        n = len(gens)
-        sm = [0] * (n + 1)
-        sm[n] = 1 << 60
-        for i in range(n - 1, -1, -1):
-            sm[i] = min(self._degrees[i], sm[i + 1])
-        self._suffix_min = tuple(sm)
+        degrees = tuple([g.degree for g in gens])
+        # The least degree from each position on: the new tail's, then the
+        # old entries, which never decrease, capped by the tail's least.
+        tail = (*reversed(list(accumulate(reversed(degrees), min))), _NO_DEGREE)
+        old = self._suffix_min[:-1]
+        cut = bisect_right(old, tail[0])
+        self._suffix_min = old[:cut] + (tail[0],) * (len(old) - cut) + tail
+        self.generators += tuple(gens)
+        self._index = index
+        self._degrees += degrees
+        self._odd += tuple([d % 2 == 1 for d in degrees])
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -130,7 +143,9 @@ class GeneratorSet:
         return self._degrees
 
     def extended(self, more: Iterable) -> "GeneratorSet":
-        return GeneratorSet(tuple(self.generators) + tuple(more))
+        grown = copy(self)
+        grown._append(more)
+        return grown
 
     def monomial_degree(self, mono: Mono) -> int:
         degs = self._degrees
@@ -313,6 +328,19 @@ def mul(gens: GeneratorSet, a: Poly, b: Poly) -> Poly:
     return Poly(acc, a.degree + b.degree)
 
 
+def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[Poly]) -> tuple:
+    """`images` then `more`, one per generator of `gens`; only `more` is checked."""
+    more = tuple(more)
+    if len(images) + len(more) != len(gens):
+        raise ValueError("one image per generator is required")
+    for g, img in zip(gens.generators[len(images) :], more):
+        if not img.is_zero() and img.degree != g.degree + 1:
+            raise DegreeMismatch(
+                f"image of {g.name} has degree {img.degree}, expected {g.degree + 1}"
+            )
+    return images + more
+
+
 class Derivation:
     """Degree +1 derivation of the free algebra, given by generator images.
 
@@ -323,24 +351,18 @@ class Derivation:
     __slots__ = ("gens", "images")
 
     def __init__(self, gens: GeneratorSet, images: Sequence[Poly]):
-        aligned = list(images)
-        if len(aligned) != len(gens):
-            raise ValueError("one image per generator is required")
-        for g, img in zip(gens, aligned):
-            if img.is_zero():
-                continue
-            if img.degree != g.degree + 1:
-                raise DegreeMismatch(
-                    f"image of {g.name} has degree {img.degree}, expected {g.degree + 1}"
-                )
         self.gens = gens
-        self.images = tuple(aligned)
+        self.images = _appended_images(gens, (), images)
 
     def image(self, i: int) -> Poly:
         return self.images[i]
 
     def extended(self, gens: GeneratorSet, new_images: Sequence[Poly]) -> "Derivation":
-        return Derivation(gens, list(self.images) + list(new_images))
+        """The derivation on `gens`, which extends `self.gens`, with images appended."""
+        grown = copy(self)
+        grown.gens = gens
+        grown.images = _appended_images(gens, self.images, new_images)
+        return grown
 
     def minimality_witness(self):
         """First (generator name, monomial) whose image has a linear term."""
@@ -350,13 +372,18 @@ class Derivation:
                     return g.name, mono
         return None
 
-    def columns(self, words: Iterable[Mono]) -> list:
-        """D of each word, a sparse dict keyed by word, in one pass over the list."""
+    def rows(self, words: Sequence[Mono]) -> dict:
+        """D of a word list in one pass, as the rows `linalg.kernel` eliminates.
+
+        Maps each target word to {position: coefficient}, where word j of the
+        list sits at position len(words) - 1 - j.
+        """
         degs, odd = self.gens._degrees, self.gens._odd
         images = [img.terms for img in self.images]
-        out = []
+        out: dict = {}
+        position = len(words)
         for mono in words:
-            column: dict = {}
+            position -= 1
             prefix = k = 0
             while k < len(mono):  # one pass per run x_i^e, from k to end
                 i = mono[k]
@@ -371,16 +398,23 @@ class Derivation:
                         t_odd = rest_odd and [j for j in t if odd[j]]
                         s = outer * _koszul_sign(t_odd, rest_odd) if t_odd else outer
                         if s:
-                            column[tuple(sorted(t + rest))] = c if s == 1 else c * s
+                            target = tuple(sorted(t + rest)) if rest else t
+                            row = out.get(target)
+                            if row is None:
+                                row = out[target] = {}
+                            row[position] = c if s == 1 else c * s
                 prefix += (end - k) * degs[i]
                 k = end
-            out.append(column)
         return out
 
     def apply(self, poly: Poly) -> Poly:
+        coeffs = list(poly.terms.values())
+        last = len(coeffs) - 1
         acc: dict = {}
-        for coeff, terms in zip(poly.terms.values(), self.columns(poly.terms)):
-            add_scaled(acc, coeff, terms)
+        for target, row in self.rows(list(poly.terms)).items():
+            value = sum(coeffs[last - p] * x for p, x in row.items())
+            if value:
+                acc[target] = value
         return Poly(acc, poly.degree + 1) if acc else Poly()
 
 

@@ -12,11 +12,13 @@ echelon rows keyed by pivot, lowest first, then back-substitutes; rank,
 kernels and image pivots go through it, and membership
 (`Subspace.contains`) through its reduction step.  Reduced echelon bases
 are unique, so results depend only on the key order, never on the row
-order.  `kernel` is the one way into elimination: it transposes the columns
-of a map into rows with the columns reversed and eliminates once; the
-kernel vectors read off that form are in reduced echelon form in the
-original order, and the rows that survive name the pivots of the image, so
-the rank of a map is the size of that set.  `add_scaled`, acc += c * row in
+order.  `kernel` is the one way into elimination.  It takes a map as the
+rows it eliminates, one per target coordinate, with the columns reversed
+(its docstring states that contract), and eliminates them once; the kernel
+vectors read off that form are in reduced echelon form in the original
+order, and the rows that survive name the pivots of the image, so the rank
+of a map is the size of that set.  `column_kernel` transposes a map given
+by its columns into those rows.  `add_scaled`, acc += c * row in
 place, is the one sparse accumulate outside elimination.  `QMatrix`, a dense
 matrix with a transpose and a product, is used by no other module; the
 acceptance suite builds U^T S U with it.
@@ -33,6 +35,7 @@ __all__ = [
     "QMatrix",
     "Subspace",
     "kernel",
+    "column_kernel",
     "exact",
     "add_scaled",
 ]
@@ -216,35 +219,46 @@ class Subspace:
         return not _reduce(dict(vector), self.rows)
 
 
-def kernel(columns: Sequence[dict]) -> tuple[Subspace, frozenset]:
-    """Kernel of the map that sends basis vector j to `columns[j]`, and the
-    pivots of its image.
+def kernel(rows: dict, keys: Sequence) -> tuple[Subspace, frozenset]:
+    """Kernel of a map given by its rows, keyed by `keys`, and the pivots of
+    its image.
 
-    Each column is a sparse dict keyed by any sortable coordinate of the
-    target.  The transpose, one row per key in sorted order with column j
-    stored at ncols - 1 - j and zero entries left out, is built here, so its
-    rows go to `_eliminate` as they are, and is eliminated once to R.  A free
+    The rows contract, the one statement of the position convention:
+    `rows` maps each sortable coordinate of the target to a fresh sparse row
+    of nonzero entries, in which column j of the map, the image of basis
+    vector `keys[j]`, sits at position len(keys) - 1 - j.  `gca.Derivation.rows`
+    assembles a differential in this form and `column_kernel` transposes
+    columns into it.  The rows, taken in sorted order of their coordinates,
+    are consumed in place by one `_eliminate` to R.  A free
     column f' of R gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f' and
     pivots p' < f'; in the original order it leads with 1 at a free column and
-    vanishes at every other one: the kernel's reduced echelon basis.  The
-    row of a key survives exactly when it is independent of the rows of the
-    keys before it, the rule for a pivot of the image's reduced echelon
-    basis: those keys are the second value.
+    vanishes at every other one: the kernel's reduced echelon basis, its rows
+    keyed by `keys` (which ascend).  The row of a coordinate survives exactly
+    when it is independent of the rows before it, the rule for a pivot of the
+    image's reduced echelon basis: those coordinates are the second value.
     """
-    ncols = len(columns)
-    last = ncols - 1
+    last = len(keys) - 1
+    targets = sorted(rows)
+    reduced = _eliminate([rows[t] for t in targets])
+    vectors = {key: {key: 1} for j, key in enumerate(keys) if last - j not in reduced}
+    for p, row in reduced.items():
+        lead = keys[last - p]
+        for f, x in row.items():
+            if f != p:
+                vectors[keys[last - f]][lead] = -x
+    return Subspace(len(keys), vectors), frozenset(t for t in targets if rows[t])
+
+
+def column_kernel(columns: Sequence[dict]) -> tuple[Subspace, frozenset]:
+    """`kernel` of the map that sends basis vector j to `columns[j]`, keyed by j.
+
+    Each column is a sparse dict keyed by any sortable coordinate of the
+    target; its zero entries are left out of the rows.
+    """
+    last = len(columns) - 1
     rows: dict = {}
     for j, column in enumerate(columns):
         for key, x in column.items():
             if x:
                 rows.setdefault(key, {})[last - j] = x
-    keys = sorted(rows)
-    reduced = _eliminate([rows[key] for key in keys])
-    vectors = {f: {f: 1} for f in range(ncols)}
-    for p in reduced:
-        del vectors[last - p]
-    for p, row in reduced.items():
-        for f, x in row.items():
-            if f != p:
-                vectors[last - f][last - p] = -x
-    return Subspace(ncols, vectors), frozenset(key for key in keys if rows[key])
+    return kernel(rows, range(len(columns)))

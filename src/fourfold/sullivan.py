@@ -32,8 +32,9 @@ in degree n, so once a stage index passes n the degree-n cochains are final.
 Each extension therefore reuses the kernel and image data computed by the
 previous one and eliminates exactly one new differential, the one on the
 cochains two degrees above the new stage, assembled in one pass over the
-degree's words (Derivation.columns) and eliminated once (linalg.kernel), for
-both its kernel and the pivot words of its image.  H^n is then a filter with
+degree's words straight into the rows that linalg.kernel takes
+(Derivation.rows) and eliminated once, for both its kernel, keyed by the
+words, and the pivot words of its image.  H^n is then a filter with
 no elimination of its own: the cocycle rows whose lead is no pivot of B^n.
 Every pivot of B^n is a pivot of Z^n, because D^2 = 0 puts B^n inside Z^n.
 The degree of the new generators gains their words, which sort after every
@@ -67,7 +68,7 @@ from .gca import (
     basis,
     basis_count,
 )
-from .linalg import Subspace, add_scaled, exact, kernel
+from .linalg import Subspace, add_scaled, column_kernel, exact, kernel
 
 __all__ = [
     "NotSimplyConnected",
@@ -201,9 +202,7 @@ def _diff_data(stage: MinimalModelStage, n: int) -> _DiffData:
         return cached
     blist = basis(stage.gens, n, stage.guard) if n >= 0 else []
     basis_count(stage.gens, n + 1, stage.guard)  # and the degree d lands in
-    cocycles, bounds = kernel(stage.diff.columns(blist))
-    rows = {blist[p]: {blist[j]: c for j, c in r.items()} for p, r in cocycles.rows.items()}
-    data = _DiffData(Subspace(len(blist), rows), bounds)
+    data = _DiffData(*kernel(stage.diff.rows(blist), blist))
     stage._data[n] = data
     return data
 
@@ -259,7 +258,7 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
         image_vectors = [
             stage.qm.on_poly(algebra, Poly(z, k + 1)) for z in low.kernel.rows.values()
         ]
-        reached = kernel(image_vectors)[1]
+        reached = column_kernel(image_vectors)[1]
         y_images = [{p: 1} for p in range(target_dim) if p not in reached]
     else:
         y_images = []
@@ -268,7 +267,9 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
     # map sends to zero.
     classes = _cohomology(stage, k + 2)
     if algebra.dim(k + 2):
-        combos, _ = kernel([stage.qm.on_poly(algebra, Poly(z, k + 2)) for z in classes])
+        combos, _ = column_kernel(
+            [stage.qm.on_poly(algebra, Poly(z, k + 2)) for z in classes]
+        )
         # Both bases are reduced, so the combinations are the reduced echelon
         # basis of their span: row c leads with 1 where its free column's
         # class does and vanishes at every other kept class's pivot.
@@ -422,7 +423,7 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
             continue
         if target:
             rows = [stage.qm.on_poly(algebra, rep) for rep in reps]
-            rank = len(kernel(rows)[1])
+            rank = len(column_kernel(rows)[1])
             if rank != target:
                 iso_failures.append(f"H^{i}: induced map has rank {rank}")
     checks.append(

@@ -5,16 +5,16 @@ integer elimination (`forms._inertia`).  The tests compare it with these
 plain rational sweeps: a congruence diagonalization that also returns the
 change of basis, and a Gaussian-elimination determinant.
 
-The package's one way into elimination is `kernel`, which takes the
-columns of a map and also returns the image's pivots.  `kernel_basis` wraps
-it for dense `QMatrix` inputs; `span` reaches the reduced echelon basis of
+The package's one way into elimination is `kernel`, which takes the rows
+of a map and also returns the image's pivots; `column_kernel` reaches it from
+the columns of a map.  `kernel_basis` wraps that for dense `QMatrix` inputs; `span` reaches the reduced echelon basis of
 a span of rows through it, and `rref` wraps `span`.
 """
 
 from fractions import Fraction
 
 from fourfold.forms import NotSymmetric
-from fourfold.linalg import QMatrix, Subspace, kernel
+from fourfold.linalg import QMatrix, Subspace, column_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -116,7 +116,7 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
 def kernel_basis(matrix: QMatrix) -> Subspace:
     """Basis of {v : Mv = 0} with dim = cols - rank."""
     columns = [{i: row[j] for i, row in enumerate(matrix.entries)} for j in range(matrix.cols)]
-    return kernel(columns)[0]
+    return column_kernel(columns)[0]
 
 
 def transpose(rows, ncols: int) -> list:
@@ -133,8 +133,8 @@ def span(ncols: int, rows) -> Subspace:
     0..ncols-1, by two kernels: the span is the annihilator of its
     annihilator, and the annihilator of some rows is the kernel of the map
     whose columns are their transpose."""
-    annihilator, _ = kernel(transpose(rows, ncols))
-    return kernel(transpose(annihilator.rows.values(), ncols))[0]
+    annihilator, _ = column_kernel(transpose(rows, ncols))
+    return column_kernel(transpose(annihilator.rows.values(), ncols))[0]
 
 
 def dense(sub: Subspace) -> tuple[tuple, ...]:

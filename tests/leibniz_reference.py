@@ -1,10 +1,11 @@
 """The per-word Leibniz loop, kept as a test oracle.
 
-`gca.Derivation.columns` assembles the differential of a whole list of
-words in one pass, scanning runs in place and listing odd letters once per
-run.  This is the earlier routine, which differentiates one word at a time
-and takes every term's sign from `mono_mul`, so the tests can compare the
-two word for word.
+`gca.Derivation.rows` assembles the differential of a whole list of words
+in one pass, scanning runs in place and listing odd letters once per run,
+straight into the rows that `linalg.kernel` eliminates.  `apply_mono` is the
+earlier routine, which differentiates one word at a time and takes every
+term's sign from `mono_mul`; `split_rows` takes those rows apart into one
+column per word, so the tests can compare the two word for word.
 """
 
 from fourfold.gca import Derivation, Mono, mono_mul
@@ -34,3 +35,13 @@ def apply_mono(deriv: Derivation, mono: Mono) -> dict:
         prefix += e * degs[i]
         k += e
     return {m: c for m, c in acc.items() if c}
+
+
+def split_rows(rows: dict, count: int) -> list:
+    """The columns, D of each of `count` words as a dict keyed by word, of
+    rows in `linalg.kernel`'s convention: word j sits at position count-1-j."""
+    columns = [{} for _ in range(count)]
+    for target, row in rows.items():
+        for position, c in row.items():
+            columns[count - 1 - position][target] = c
+    return columns

@@ -292,8 +292,30 @@ def test_model_json_matches_the_reference_on_random_rational_coefficients():
     assert text == json_reference.model_text(scaled, table, meta)
 
 
+def test_model_json_matches_the_reference_on_hand_built_words():
+    # Words the built cells do not reach: square-free of length 3, x1^2*x2,
+    # cubes and a fourth power, odd letters, and a name that JSON escapes.
+    base, table, _ = build(algebra_from_split(2, 0), 2)
+    gens = base.gens.extended([("a", 3), ("\u03b2", 3), ("v", 5), ("w", 6), ("z", 7)])
+    poly = lambda terms: Poly.from_terms(gens, terms)
+    images = [
+        Poly.zero(),
+        Poly.zero(),
+        poly({(0, 0): 1, (1, 1): -1}),
+        poly({(0, 1): Fraction(1, 2)}),
+        poly({(0, 0, 0): 1, (0, 0, 1): -2, (2, 3): 1, (1, 1, 1): 5}),
+        poly({(0, 1, 2): 1, (0, 0, 3): -1, (0, 4): Fraction(-3, 2)}),
+        poly({(0, 2, 3): 1, (0, 0, 0, 0): 7, (1, 5): -1, (0, 1, 1, 1): 2}),
+    ]
+    stage = MinimalModelStage(base.algebra, gens, Derivation(gens, images), base.qm, 7)
+    meta = cli._meta(2, 2, 0, 7)
+    text = "".join(cli.model_document(stage, table, meta))
+    assert text == json_reference.model_text(stage, table, meta)
+    assert '"\\u03b2"' in text
+
+
 def test_model_json_streams_in_less_memory_than_it_prints():
-    # One generator's piece at a time, plus each distinct monomial rendered
+    # One generator's piece at a time, plus each letter's factor rendered
     # once: the whole text is never held.
     stage, table, _ = build(algebra_from_split(1, 2), 8)
     meta = cli._meta(3, 1, 2, 8)

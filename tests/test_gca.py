@@ -279,7 +279,7 @@ def test_zero_derivation_gives_zero_matrices():
     d = Derivation(gens, [Poly.zero(), Poly.zero()])
     for n in range(0, 7):
         words = basis(gens, n)
-        assert d.columns(words) == [{}] * len(words)
+        assert d.rows(words) == {}
 
 
 def test_single_relation_model_matrix():
@@ -290,7 +290,7 @@ def test_single_relation_model_matrix():
     d = Derivation(gens, [Poly.zero(), x3])
     # Degree 5 is spanned by u alone; it maps onto x^3.
     assert basis(gens, 5) == [(1,)]
-    assert d.columns([(1,)]) == [x3.terms]
+    assert d.rows([(1,)]) == {m: {0: c} for m, c in x3.terms.items()}
 
 
 def test_columns_cover_collisions_cubes_and_cancellation():
@@ -301,13 +301,15 @@ def test_columns_cover_collisions_cubes_and_cancellation():
     x3 = mul(gens, x, x2)
     d = Derivation(gens, [Poly.zero(), x2, x2, mul(gens, x, a), x3])
     words = [(1, 3), (0, 4), (0, 1, 3), (1, 2), (0, 0, 3, 3)]
-    cols = d.columns(words)
+    cols = leibniz_reference.split_rows(d.rows(words), len(words))
     assert cols == [leibniz_reference.apply_mono(d, m) for m in words]
+    # word j of the list sits at position len(words) - 1 - j of each row
+    assert d.rows(words[:2]) == {(0, 0, 3): {1: 1}, (0, 0, 0, 0): {0: 1}}
     # D(aw) = da*w - a*dw, and a*x*a vanishes
     assert cols[0] == {(0, 0, 3): 1}
     assert cols[1] == {(0, 0, 0, 0): 1}
     assert cols[3] == {(0, 0, 2): 1, (0, 0, 1): -1}
-    assert d.columns([]) == []
+    assert d.rows([]) == {}
     assert d.apply(mul(gens, x, a) - mul(gens, x, b)).is_zero()  # x^3 - x^3
     assert d.apply(mul(gens, a, w)) == Poly(cols[0], 8)
 
@@ -319,13 +321,49 @@ def test_derivation_image_degree_is_checked():
         Derivation(gens, [Poly.zero(), mul(gens, x, x)])
 
 
+def test_extended_checks_what_it_appends():
+    gens = GeneratorSet([("x", 2), ("u", 5)])
+    x = gen(gens, "x")
+    x3 = mul(gens, x, mul(gens, x, x))
+    d = Derivation(gens, [Poly.zero(), x3])
+    with pytest.raises(ValueError, match="generator names must be unique"):
+        gens.extended([("y", 2), ("x", 4)])
+    with pytest.raises(ValueError, match="generator names must be unique"):
+        gens.extended([("w", 3), ("w", 3)])
+    with pytest.raises(ValueError, match="degree 1 < 2"):
+        gens.extended([("t", 1)])
+    grown = gens.extended([("w", 3), ("y", 2)])
+    assert gens == GeneratorSet([("x", 2), ("u", 5)])  # left as it was
+    with pytest.raises(DegreeMismatch, match="image of w has degree 6, expected 4"):
+        d.extended(grown, [x3, Poly.zero()])
+    with pytest.raises(ValueError, match="one image per generator"):
+        d.extended(grown, [Poly.zero()])
+    grown_d = d.extended(grown, [mul(gens, x, x), Poly.zero()])
+    assert grown_d.images == (Poly.zero(), x3, mul(gens, x, x), Poly.zero())
+    assert d.gens == gens and len(d.images) == 2
+
+
+def test_extended_sets_match_sets_built_at_once():
+    rng = random.Random("extended")
+    for _ in range(200):
+        degrees = [rng.randint(2, 9) for _ in range(rng.randint(0, 8))]
+        cut = rng.randint(0, len(degrees))
+        named = [(f"g{i}", d) for i, d in enumerate(degrees)]
+        grown = GeneratorSet(named[:cut]).extended(named[cut:])
+        fresh = GeneratorSet(named)
+        for field in GeneratorSet.__slots__:
+            assert getattr(grown, field) == getattr(fresh, field), field
+        for degree in range(12):
+            assert basis(grown, degree) == basis(fresh, degree)
+
+
 def test_quadratic_relations_kernel_dimension():
     # The degree-5 cocycles of the hand-built stage span a space of
     # dimension 3(3^2-4)/3 = 5.
     gens = stage3_b2_3()
     d = stage3_differential(gens)
     dom = basis(gens, 5)
-    cocycles, pivots = kernel(d.columns(dom))
+    cocycles, pivots = kernel(d.rows(dom), dom)
     assert len(dom) == 15
     assert cocycles.dim == 5
     assert len(pivots) == len(dom) - 5  # rank + nullity

@@ -7,8 +7,10 @@ import pytest
 from fourfold import linalg
 from fourfold.forms import NotSymmetric, algebra_from_split
 from fourfold.gca import basis
-from fourfold.linalg import QMatrix, Subspace, kernel
+from fourfold.linalg import QMatrix, Subspace, column_kernel, kernel
 from fourfold.sullivan import build
+
+import leibniz_reference
 from fraction_reference import (
     congruence_diagonalize,
     dense,
@@ -29,7 +31,7 @@ def mat(rows, cols=None):
 def in_span(rows, vector):
     """Whether the sparse row `vector` lies in the span of `rows`: adding it
     leaves the rank, the number of image pivots, alone."""
-    return len(kernel([*rows, vector])[1]) == len(kernel(rows)[1])
+    return len(column_kernel([*rows, vector])[1]) == len(column_kernel(rows)[1])
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -161,29 +163,29 @@ def complement_of_image(inner, outer):
     """The cocycle rows of a complex `inner` then `outer` (given by columns)
     whose lead is no pivot of the image of `inner`, as `sullivan._cohomology`
     reads H^n off its kernel data."""
-    cocycles, _ = kernel(outer)
-    _, bounds = kernel(inner)
+    cocycles, _ = column_kernel(outer)
+    _, bounds = column_kernel(inner)
     return {p: row for p, row in cocycles.rows.items() if p not in bounds}
 
 
 def test_complement_of_itself_is_zero():
     outer = [{0: 1}, {}, {0: -1}]  # cocycles: e0 + e2 and e1
     inner = [{0: 2, 2: 2}, {1: 3}, {0: 1, 1: 1, 2: 1}]
-    assert kernel(inner)[1] == set(kernel(outer)[0].rows) == {0, 1}
+    assert column_kernel(inner)[1] == set(column_kernel(outer)[0].rows) == {0, 1}
     assert complement_of_image(inner, outer) == {}
 
 
 def test_complement_of_zero_is_everything():
     outer = [{0: 1}, {}, {0: -1}]
     for inner in ([], [{}, {}], [{1: 0}]):
-        assert complement_of_image(inner, outer) == kernel(outer)[0].rows
+        assert complement_of_image(inner, outer) == column_kernel(outer)[0].rows
 
 
 def test_complement_splits_ambient():
     inner = [{0: F(1)}]
     comp = complement_of_image(inner, [{}, {}, {}])
     assert comp == {1: {1: 1}, 2: {2: 1}}
-    assert len(kernel(inner + list(comp.values()))[1]) == 3
+    assert len(column_kernel(inner + list(comp.values()))[1]) == 3
     for v in comp.values():
         assert not in_span(inner, v)
 
@@ -195,7 +197,7 @@ def test_complement_random_dimension_count():
         outer = [
             {i: rng.randint(-2, 2) for i in range(rng.randint(0, 3))} for _ in range(n)
         ]
-        cocycles, _ = kernel(outer)
+        cocycles, _ = column_kernel(outer)
         # coboundaries: integer combinations of the cocycles, so B lies in Z
         inner = []
         for _ in range(rng.randint(0, cocycles.dim + 1)):
@@ -204,7 +206,7 @@ def test_complement_random_dimension_count():
                 linalg.add_scaled(column, rng.randint(-2, 2), row)
             inner.append(column)
         sub = span(n, inner)
-        bounds = kernel(inner)[1]
+        bounds = column_kernel(inner)[1]
         assert bounds == set(sub.rows) <= set(cocycles.rows)
         comp = complement_of_image(inner, outer)
         assert sub.dim + len(comp) == cocycles.dim
@@ -482,7 +484,7 @@ def test_integer_rows_match_dense_reference_in_canonical_form(shape, mixed):
         got = list(within.rows.values())
         assert list(within.rows) == pivots
         assert [tuple(r.get(j, 0) for j in range(ncols)) for r in got] == list(reduced)
-        null, _ = kernel(transpose(rows, ncols))
+        null, _ = column_kernel(transpose(rows, ncols))
         assert dense(null) == tuple(ref_kernel(full, ncols))
         assert kernel_basis(mat(full, cols=ncols)) == null
         outputs = got + [r for s in (null, within) for r in s.rows.values()]
@@ -501,7 +503,7 @@ def test_reduced_echelon_form_ignores_row_order():
 
 
 def test_image_pivots_do_not_depend_on_the_key_type():
-    # the pivots `kernel` reports are those of the span of its columns
+    # the pivots `column_kernel` reports are those of the span of its columns
     rng = random.Random("span")
 
     def word(j):  # sorts as j does, like the words of one degree
@@ -515,11 +517,11 @@ def test_image_pivots_do_not_depend_on_the_key_type():
         ]
         before = [dict(row) for row in rows]
         expected = ref_image_pivots(rows)
-        assert kernel(rows)[1] == expected
+        assert column_kernel(rows)[1] == expected
         keyed = [{word(j): x for j, x in row.items()} for row in rows]
-        assert kernel(keyed)[1] == {word(p) for p in expected}
+        assert column_kernel(keyed)[1] == {word(p) for p in expected}
         assert rows == before
-    assert kernel([{(0, 1): 0, (1,): F(2)}])[1] == {(1,)}
+    assert column_kernel([{(0, 1): 0, (1,): F(2)}])[1] == {(1,)}
 
 
 def ref_image_pivots(columns):
@@ -552,10 +554,10 @@ def test_kernel_pivots_match_a_dense_reference(mixed):
                 columns.append({rng.choice(keys): 0})  # a stored zero
             else:
                 columns.append({k: value() for k in rng.sample(keys, rng.randint(1, nkeys))})
-        null, pivots = kernel(columns)
+        null, pivots = column_kernel(columns)
         assert pivots == ref_image_pivots(columns)
         assert len(pivots) + null.dim == len(columns)  # rank + nullity
-    assert kernel([]) == (Subspace(0, {}), set())
+    assert column_kernel([]) == (Subspace(0, {}), set())
 
 
 def differential_rows(b2, max_degree, degree):
@@ -564,10 +566,9 @@ def differential_rows(b2, max_degree, degree):
     stage, _, _ = build(algebra_from_split(b2, 0), max_degree)
     blist = basis(stage.gens, degree)
     index = {m: i for i, m in enumerate(basis(stage.gens, degree + 1))}
-    rowmap = {}
-    for j, column in enumerate(stage.diff.columns(blist)):
-        for mono, c in column.items():
-            rowmap.setdefault(index[mono], {})[j] = c
+    last = len(blist) - 1
+    rowmap = {index[mono]: {last - p: c for p, c in row.items()}
+              for mono, row in stage.diff.rows(blist).items()}
     return [rowmap[i] for i in sorted(rowmap)], len(blist)
 
 
@@ -584,7 +585,7 @@ def test_kernel_of_a_real_differential_matches_dense_reference():
     null = kernel_basis(mat(full, cols=ncols))
     assert 0 < null.dim < ncols
     assert dense(null) == tuple(ref_kernel(full, ncols))
-    assert kernel(transpose(rows, ncols))[0] == null
+    assert column_kernel(transpose(rows, ncols))[0] == null
 
 
 def ref_kernel_of_columns(columns):
@@ -600,8 +601,8 @@ def test_kernel_of_columns_keyed_by_monomial_words():
     stage, _, _ = build(algebra_from_split(2, 1), 5)
     targets = basis(stage.gens, 7)
     assert len({len(word) for word in targets}) > 1
-    differential = stage.diff.columns(basis(stage.gens, 6))
-    null, pivots = kernel(differential)
+    differential = [leibniz_reference.apply_mono(stage.diff, m) for m in basis(stage.gens, 6)]
+    null, pivots = column_kernel(differential)
     assert 0 < null.dim < len(differential)
     assert dense(null) == ref_kernel_of_columns(differential)
     assert pivots == ref_image_pivots(differential)
@@ -612,23 +613,53 @@ def test_kernel_of_columns_keyed_by_monomial_words():
              for w in rng.sample(targets, rng.randint(0, 3))}
             for _ in range(rng.randint(1, 12))
         ]
-        got, pivots = kernel(columns)
+        got, pivots = column_kernel(columns)
         assert dense(got) == ref_kernel_of_columns(columns)
         assert pivots == ref_image_pivots(columns)
         assert all(canonical(x) for r in got.rows.values() for x in r.values())
 
 
 def test_kernel_of_degenerate_columns():
-    assert kernel([]) == (Subspace(0, {}), set())
+    assert column_kernel([]) == (Subspace(0, {}), set())
     # all-empty columns: everything is in the kernel, and the image is 0
-    assert kernel([{}, {}, {}]) == (Subspace(3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}), set())
+    assert column_kernel([{}, {}, {}]) == (Subspace(3, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}), set())
     # a stored zero contributes nothing, even as a column's only entry
     stored = [{"a": 1, "b": 0}, {"b": 0}, {"a": -1, "c": 0}, {"a": 0, "c": 2}]
     cleaned = [{k: x for k, x in column.items() if x} for column in stored]
     null = Subspace(4, {0: {0: 1, 2: 1}, 1: {1: 1}})
-    assert kernel(stored) == kernel(cleaned) == (null, {"a", "c"})
-    assert dense(kernel(stored)[0]) == ref_kernel_of_columns(stored)
-    assert dense(kernel([{0: 0}] * 2)[0]) == ref_kernel_of_columns([{0: 0}] * 2)
+    assert column_kernel(stored) == column_kernel(cleaned) == (null, {"a", "c"})
+    assert dense(column_kernel(stored)[0]) == ref_kernel_of_columns(stored)
+    assert dense(column_kernel([{0: 0}] * 2)[0]) == ref_kernel_of_columns([{0: 0}] * 2)
+
+
+def test_kernel_keys_its_vectors_by_the_domain_keys():
+    # `kernel` takes rows with column j at position len(keys) - 1 - j and
+    # keys the kernel by `keys`; `column_kernel` keys it by column index
+    rng = random.Random("kernel-keys")
+    for _ in range(60):
+        ncols = rng.randint(0, 8)
+        keys = sorted(rng.sample([(a, b) for a in range(4) for b in range(4)], ncols))
+        columns = [
+            {t: rng.choice([1, -1, 2, F(1, 2)]) for t in rng.sample("abcdef", rng.randint(0, 3))}
+            for _ in range(ncols)
+        ]
+        rows = {}
+        for j, column in enumerate(columns):
+            for t, x in column.items():
+                rows.setdefault(t, {})[ncols - 1 - j] = x
+        by_index, pivots = column_kernel(columns)
+        null, image = kernel(rows, keys)
+        assert image == pivots
+        assert null == Subspace(ncols, {
+            keys[p]: {keys[j]: x for j, x in row.items()} for p, row in by_index.rows.items()
+        })
+        assert {t for t, row in rows.items() if row} == pivots  # the rows are consumed
+    assert kernel({}, []) == (Subspace(0, {}), set())
+    assert kernel({}, ["u", "v"]) == (Subspace(2, {"u": {"u": 1}, "v": {"v": 1}}), set())
+    # u -> a, v -> a + b, w -> b: w = v - u
+    null, image = kernel({"a": {2: 1, 1: 1}, "b": {1: 1, 0: 1}}, ["u", "v", "w"])
+    assert null == Subspace(3, {"u": {"u": 1, "v": -1, "w": 1}})
+    assert image == {"a", "b"}
 
 
 def test_kernel_eliminates_once(monkeypatch):
@@ -643,5 +674,5 @@ def test_kernel_eliminates_once(monkeypatch):
     rng = random.Random("kernel-calls")
     for n in range(1, 30):
         ncols = rng.randint(1, 8)
-        kernel(transpose(random_integer_rows(rng, rng.randint(0, 8), ncols, mixed=True), ncols))
+        column_kernel(transpose(random_integer_rows(rng, rng.randint(0, 8), ncols, mixed=True), ncols))
         assert len(calls) == n
