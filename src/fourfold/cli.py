@@ -4,7 +4,10 @@ Subcommands: `ranks` (closed-form tables, optionally with the model engine's
 ranks checked against the loop-space series), `model` (the minimal model
 itself), `classify` (rational equivalence of two intersection forms),
 `examples` (the classical surface catalog) and `verify` (the full invariant
-suite).
+suite).  Every source of a manifold (`--b2`/`--split`, `--form`, a catalog
+example, a `verify` split, a `classify` name, `diag:`, `sum:` or file) is
+resolved to one `(label, CohomologyAlgebra)`, which every command reads
+and `build` takes as it is; a split source builds no matrix.
 
 Exit codes are a stable contract: 0 success, 1 verification failure, 2 input
 error, 3 basis guard exceeded (partial results are still printed).  Identical
@@ -27,14 +30,12 @@ from typing import Iterator
 
 from . import forms
 from .forms import (
-    IntersectionForm,
+    CohomologyAlgebra,
     RankTable,
     algebra_from_split,
-    canonical_connected_sum,
     closed_form_ranks,
-    complete_intersection_b2,
+    cohomology_algebra,
     complete_intersection_split,
-    hypersurface_b2,
     loop_space_mismatches,
     make_form,
     rationally_equivalent,
@@ -67,7 +68,7 @@ NAMED_FORMS = {
 }
 
 
-def _load_form_file(path: str) -> tuple[IntersectionForm, str]:
+def _load_form_file(path: str) -> tuple[str, CohomologyAlgebra]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -85,66 +86,64 @@ def _load_form_file(path: str) -> tuple[IntersectionForm, str]:
     except ValueError as exc:
         raise InputError(f"form file {path}: {exc}") from exc
     label = doc.get("name") if isinstance(doc.get("name"), str) else path
-    return form, label
+    return label, cohomology_algebra(form)
 
 
-def _resolve_form_source(text: str) -> tuple[IntersectionForm, str]:
+def _resolve_form_source(text: str) -> tuple[str, CohomologyAlgebra]:
     """A form source: builtin name, diag:…, sum:p,q, or a JSON file path."""
     key = text.lower()
     if key in NAMED_FORMS:
         factory, label = NAMED_FORMS[key]
-        return factory(), label
+        return label, cohomology_algebra(factory())
     if key.startswith("diag:"):
         try:
             entries = [int(x) for x in text[5:].split(",") if x.strip()]
-            return forms.diagonal_form(entries), f"diag({text[5:]})"
+            return f"diag({text[5:]})", cohomology_algebra(forms.diagonal_form(entries))
         except ValueError as exc:
             raise InputError(f"bad diagonal form {text!r}: {exc}") from exc
     if key.startswith("sum:"):
-        p, q = _parse_split(text[4:], "sum:p,q")
-        return forms.connected_sum_form(p, q), f"#{p} CP^2 # {q} CP^2-bar"
+        algebra = _parse_split(text[4:], "sum:p,q")
+        return f"#{algebra.b2_plus} CP^2 # {algebra.b2_minus} CP^2-bar", algebra
     return _load_form_file(text)
 
 
-def _parse_split(text: str, source: str) -> tuple[int, int]:
-    """P,Q from `text`; errors name `source`, the option or argument it came from."""
+def _parse_split(text: str, source: str) -> CohomologyAlgebra:
+    """The algebra of the split P,Q in `text`; errors name `source`, where it came from."""
     try:
         p, q = (int(x) for x in text.split(","))
     except ValueError as exc:
         raise InputError(f"{source} expects P,Q integers, got {text!r}") from exc
     if p < 0 or q < 0:
         raise InputError(f"{source} entries must be nonnegative")
-    return p, q
+    return algebra_from_split(p, q)
 
 
-def _resolve_source(args) -> tuple[str, int, int, int]:
-    """Resolve --b2/--split/--form into (label, b2, plus, minus)."""
+def _resolve_source(args) -> tuple[str, CohomologyAlgebra]:
+    """Resolve --b2/--split/--form into (label, algebra)."""
     if args.form is not None and args.b2 is not None:
         raise InputError("give exactly one of --b2 or --form")
     if args.form is not None and args.split is not None:
         raise InputError("--split goes with --b2; a --form file fixes its own split")
     if args.form is not None:
-        form, label = _load_form_file(args.form)
-        return label, form.b2, form.b2_plus, form.b2_minus
+        return _load_form_file(args.form)
     if args.b2 is None:
         raise InputError("a source is required: --b2 N or --form PATH")
     if args.b2 < 0:
         raise InputError("--b2 must be nonnegative")
-    if args.split is not None:
-        plus, minus = _parse_split(args.split, "--split")
-        if plus + minus != args.b2:
-            raise InputError(f"--split {args.split} does not add up to b2={args.b2}")
-    else:
-        plus, minus = args.b2, 0
-    return f"b2={args.b2}", args.b2, plus, minus
+    if args.split is None:
+        return f"b2={args.b2}", algebra_from_split(args.b2, 0)
+    algebra = _parse_split(args.split, "--split")
+    if algebra.b2 != args.b2:
+        raise InputError(f"--split {args.split} does not add up to b2={args.b2}")
+    return f"b2={args.b2}", algebra
 
 
-def _meta(b2: int, plus: int, minus: int, max_degree: int) -> dict:
+def _meta(algebra: CohomologyAlgebra, max_degree: int) -> dict:
     return {
-        "b2": b2,
-        "b2plus": plus,
-        "b2minus": minus,
-        "sigma": plus - minus,
+        "b2": algebra.b2,
+        "b2plus": algebra.b2_plus,
+        "b2minus": algebra.b2_minus,
+        "sigma": algebra.signature,
         "max_degree": max_degree,
     }
 
@@ -177,22 +176,20 @@ def _rank_rows(formula: RankTable, engine: RankTable | None):
     return rows
 
 
-def _print_ranks(args, label: str, b2: int, plus: int, minus: int) -> int:
+def _print_ranks(args, label: str, algebra: CohomologyAlgebra) -> int:
     """The rank table of `ranks` and `examples`, for options already checked."""
-    formula = closed_form_ranks(b2)
+    formula = closed_form_ranks(algebra.b2)
     engine_table = None
     agreement = None
     if args.engine:
-        _, engine_table, _ = build(
-            algebra_from_split(plus, minus), args.max_degree, guard=args.guard
-        )
-        bad = loop_space_mismatches(b2, engine_table.ranks)
+        _, engine_table, _ = build(algebra, args.max_degree, guard=args.guard)
+        bad = loop_space_mismatches(algebra.b2, engine_table.ranks)
         agreement = not bad
     rows = _rank_rows(formula, engine_table)
     if args.format == "json":
         doc = {
             "command": "ranks",
-            "meta": _meta(b2, plus, minus, args.max_degree),
+            "meta": _meta(algebra, args.max_degree),
             "formula": {str(r): v for r, v in formula.ranks.items()},
             "finite_tail": formula.finite_tail,
             "engine": None
@@ -221,10 +218,10 @@ def _print_ranks(args, label: str, b2: int, plus: int, minus: int) -> int:
 
 
 def cmd_ranks(args) -> int:
-    label, b2, plus, minus = _resolve_source(args)
+    label, algebra = _resolve_source(args)
     if args.engine:
         _check_engine_options(args)
-    return _print_ranks(args, label, b2, plus, minus)
+    return _print_ranks(args, label, algebra)
 
 
 # ------------------------------------------------------------------- model
@@ -288,19 +285,18 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> It
 
 
 def cmd_model(args) -> int:
-    label, b2, plus, minus = _resolve_source(args)
+    label, algebra = _resolve_source(args)
     _check_engine_options(args)
-    stage, table, _ = build(
-        algebra_from_split(plus, minus), args.max_degree, guard=args.guard
-    )
-    meta = _meta(b2, plus, minus, args.max_degree)
+    stage, table, _ = build(algebra, args.max_degree, guard=args.guard)
+    meta = _meta(algebra, args.max_degree)
     if args.format == "json":
         for piece in model_document(stage, table, meta):
             print(piece, end="")  # print, not sys.stdout: it may be None (stdout closed)
         print()
     else:
         print(
-            f"minimal model of {label} (split {plus},{minus}, sigma {plus - minus}) "
+            f"minimal model of {label} (split {algebra.b2_plus},{algebra.b2_minus}, "
+            f"sigma {algebra.signature}) "
             f"through degree {args.max_degree}"
         )
         if not len(stage.gens):
@@ -310,7 +306,7 @@ def cmd_model(args) -> int:
             print(f"  {g.name} (degree {g.degree})  d = {format_poly(stage.gens, image)}")
         ranks = ", ".join(f"pi_{r}={v}" for r, v in sorted(table.ranks.items()))
         print(f"  ranks: {ranks}")
-    bad = loop_space_mismatches(b2, table.ranks)
+    bad = loop_space_mismatches(algebra.b2, table.ranks)
     if bad:
         r = min(bad)
         print(
@@ -326,10 +322,9 @@ def cmd_model(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    first, label_a = _resolve_form_source(args.first)
-    second, label_b = _resolve_form_source(args.second)
+    sides = [_resolve_form_source(args.first), _resolve_form_source(args.second)]
+    (_, first), (_, second) = sides
     equivalent = rationally_equivalent(first, second)
-    reps = [canonical_connected_sum(first), canonical_connected_sum(second)]
     if args.format == "json":
         doc = {
             "command": "classify",
@@ -337,22 +332,19 @@ def cmd_classify(args) -> int:
             "forms": [
                 {
                     "name": label,
-                    "rank": form.rank,
-                    "sigma": form.signature,
-                    "connected_sum": {"plus": rep[0], "minus": rep[1]},
+                    "rank": algebra.b2,
+                    "sigma": algebra.signature,
+                    "connected_sum": {"plus": algebra.b2_plus, "minus": algebra.b2_minus},
                 }
-                for label, form, rep in (
-                    (label_a, first, reps[0]),
-                    (label_b, second, reps[1]),
-                )
+                for label, algebra in sides
             ],
         }
         _emit_json(doc)
         return EXIT_OK
-    for label, form, rep in ((label_a, first, reps[0]), (label_b, second, reps[1])):
+    for label, algebra in sides:
         print(
-            f"  {label}: rank {form.rank}, sigma {form.signature}, "
-            f"connected sum ({rep[0]}, {rep[1]})"
+            f"  {label}: rank {algebra.b2}, sigma {algebra.signature}, "
+            f"connected sum ({algebra.b2_plus}, {algebra.b2_minus})"
         )
     verdict = "EQUIVALENT" if equivalent else "NOT equivalent"
     print(f"  rational homotopy type: {verdict}")
@@ -374,9 +366,8 @@ def cmd_examples(args) -> int:
             raise InputError(f"bad degree {params!r}") from exc
         if d < 1:
             raise InputError("degree must be positive")
-        b2 = hypersurface_b2(d)
-        label = f"degree-{d} hypersurface (b2={b2})"
-        split = complete_intersection_split([d])
+        algebra = algebra_from_split(*complete_intersection_split([d]))
+        label = f"degree-{d} hypersurface (b2={algebra.b2})"
     elif which == "ci":
         if params is None:
             raise InputError("ci needs degrees, e.g. `examples ci 2,2`")
@@ -386,37 +377,32 @@ def cmd_examples(args) -> int:
             raise InputError(f"bad degree list {params!r}") from exc
         if not degrees or any(d < 1 for d in degrees):
             raise InputError("degrees must be positive integers")
-        b2 = complete_intersection_b2(degrees)
-        label = f"complete intersection {tuple(degrees)} (b2={b2})"
-        split = complete_intersection_split(degrees)
+        algebra = algebra_from_split(*complete_intersection_split(degrees))
+        label = f"complete intersection {tuple(degrees)} (b2={algebra.b2})"
     elif which == "k3":
         if params is not None:
             raise InputError(f"k3 takes no parameter, got {params!r}")
-        form = forms.k3_form()
-        b2 = form.b2
-        label = f"K3 surface (b2={b2}, sigma={form.signature})"
-        split = (form.b2_plus, form.b2_minus)
+        algebra = cohomology_algebra(forms.k3_form())
+        label = f"K3 surface (b2={algebra.b2}, sigma={algebra.signature})"
     elif which == "connected-sum":
         if params is None:
             raise InputError("connected-sum needs p,q, e.g. `examples connected-sum 2,1`")
-        p, q = _parse_split(params, "connected-sum")
-        b2 = p + q
-        label = f"#{p} CP^2 # {q} CP^2-bar (b2={b2})"
-        split = (p, q)
+        algebra = _parse_split(params, "connected-sum")
+        label = f"#{algebra.b2_plus} CP^2 # {algebra.b2_minus} CP^2-bar (b2={algebra.b2})"
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown example {which!r}")
     if args.engine:
         _check_engine_options(args)
     if args.format != "json":
         print(label)
-    return _print_ranks(args, f"b2={b2}", b2, *split)
+    return _print_ranks(args, f"b2={algebra.b2}", algebra)
 
 
 # ------------------------------------------------------------------- verify
 
 
-def _verify_one(split: tuple[int, int], max_degree: int, guard: int):
-    stage, table, _ = build(algebra_from_split(*split), max_degree, guard=guard)
+def _verify_one(algebra: CohomologyAlgebra, max_degree: int, guard: int):
+    stage, table, _ = build(algebra, max_degree, guard=guard)
     report = verify_stage(stage)
     return table, [f"{check.name}: {check.detail}" for check in report.failures()]
 
@@ -428,19 +414,19 @@ def cmd_verify(args) -> int:
             raise InputError("--b2 must be nonnegative")
         b2_range = [args.b2]
     else:
-        b2_range = list(range(0, 7))
+        b2_range = range(7)
     any_failure = False
     for b2 in b2_range:
-        split_list = (
-            [(p, b2 - p) for p in range(b2 + 1)] if args.all_splits else [(b2, 0)]
-        )
+        # one split at a time: a b2 over the guard trips on the first build
+        pluses = range(b2 + 1) if args.all_splits else (b2,)
         tables = []
-        for split in split_list:
-            table, failures = _verify_one(split, args.max_degree, args.guard)
+        for plus in pluses:
+            algebra = algebra_from_split(plus, b2 - plus)
+            table, failures = _verify_one(algebra, args.max_degree, args.guard)
             tables.append(table)
             status = "PASS" if not failures else "FAIL"
             ranks = ", ".join(f"{r}:{v}" for r, v in sorted(table.ranks.items()))
-            print(f"  [{status}] b2={b2} split ({split[0]},{split[1]})  ranks {{{ranks}}}")
+            print(f"  [{status}] b2={b2} split ({plus},{b2 - plus})  ranks {{{ranks}}}")
             for f in failures:
                 print(f"         {f}")
                 any_failure = True

@@ -1,17 +1,20 @@
 """Closed oriented simply connected four-manifolds via their intersection forms.
 
-An intersection form is a symmetric unimodular integer matrix; rank,
-signature and determinant are computed exactly, in integers, by
-fraction-free symmetric elimination.  From the form we present the rational
-cohomology algebra by its diagonalized pairing (degrees 0, 2 and 4, zero
-differential), take the homotopy ranks from one divisor sum and compare an
-engine's ranks with them in one verdict (`loop_space_mismatches`), and
-classify rational homotopy type by rank and signature.  A small catalog
-covers the classical examples: complex projective hypersurfaces, complete
-intersections, the K3 surface and connected sums of projective planes.  Its
-forms are built with their invariants known, without an elimination: a
-diagonal form's are read off its entries, those of the hyperbolic plane and
-of E8 are classical, and a block sum adds up its blocks' splits.
+An intersection form is a symmetric unimodular integer matrix; its
+signature split and determinant are computed exactly, in integers, by
+fraction-free symmetric elimination.  Over Q the form is congruent to
+diag(+1 x b2+, -1 x b2-), so the rational cohomology algebra (degrees 0, 2
+and 4, zero differential) is the split alone: `cohomology_algebra` reads it
+off a form, `algebra_from_split` makes it with no matrix.  From b2 we take
+the homotopy ranks by one divisor sum and compare an engine's ranks with
+them in one verdict (`loop_space_mismatches`); b2 and signature classify
+the rational homotopy type.  A small catalog covers the classical
+examples: complex projective hypersurfaces, complete intersections, the K3
+surface and connected sums of projective planes.  Its forms are built with
+their invariants known, without an elimination: a diagonal form's are read
+off its entries, those of the hyperbolic plane and of E8 are classical, and
+a block sum adds up its blocks' splits; a complete intersection's split
+comes from the signature theorem.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "hyperbolic_form",
     "e8_form",
     "k3_form",
-    "connected_sum_form",
 ]
 
 
@@ -56,16 +58,19 @@ class NotUnimodular(ValueError):
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric unimodular integer matrix with rank and signature split."""
+    """Symmetric unimodular integer matrix with its signature split.
+
+    The split is computed once, when the form is made (`make_form`), or
+    known from its construction (the catalog); b2 is the matrix size.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
-    b2: int
     b2_plus: int
     b2_minus: int
 
     @property
-    def rank(self) -> int:
-        return self.b2
+    def b2(self) -> int:
+        return len(self.matrix)
 
     @property
     def signature(self) -> int:
@@ -149,7 +154,7 @@ def _unimodular(data: tuple, plus: int, minus: int, det: int) -> IntersectionFor
     """The form of a validated symmetric matrix, given its (plus, minus, det)."""
     if det != 1 and det != -1:
         raise NotUnimodular(f"determinant is {det}, expected +1 or -1")
-    return IntersectionForm(data, len(data), plus, minus)
+    return IntersectionForm(data, plus, minus)
 
 
 # ---------------------------------------------------------------- catalog
@@ -171,7 +176,7 @@ def empty_form() -> IntersectionForm:
 
 def hyperbolic_form() -> IntersectionForm:
     """The hyperbolic plane [[0, 1], [1, 0]], of split (1, 1)."""
-    return IntersectionForm(((0, 1), (1, 0)), 2, 1, 1)
+    return IntersectionForm(((0, 1), (1, 0)), 1, 1)
 
 
 _E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7))
@@ -190,7 +195,7 @@ def e8_form(negative: bool = False) -> IntersectionForm:
     for i, j in _E8_EDGES:
         rows[i][j] = rows[j][i] = -sign
     split = (0, 8) if negative else (8, 0)
-    return IntersectionForm(tuple(map(tuple, rows)), 8, *split)
+    return IntersectionForm(tuple(map(tuple, rows)), *split)
 
 
 def _block_diagonal(blocks: Sequence[IntersectionForm]) -> list[list[int]]:
@@ -217,14 +222,9 @@ def k3_form() -> IntersectionForm:
     blocks = [h, h, h, e8m, e8m]
     return IntersectionForm(
         tuple(map(tuple, _block_diagonal(blocks))),
-        sum(b.b2 for b in blocks),
         sum(b.b2_plus for b in blocks),
         sum(b.b2_minus for b in blocks),
     )
-
-
-def connected_sum_form(plus: int, minus: int) -> IntersectionForm:
-    return diagonal_form([1] * plus + [-1] * minus)
 
 
 # --------------------------------------------------------- cohomology algebra
@@ -232,24 +232,28 @@ def connected_sum_form(plus: int, minus: int) -> IntersectionForm:
 
 @dataclass(frozen=True)
 class CohomologyAlgebra:
-    """Rational cohomology of a four-manifold, given by its diagonalized pairing.
+    """Rational cohomology of a four-manifold, given by its signature split.
 
     Degree 0 is spanned by the unit, degree 2 by classes x1..xb2 that
-    diagonalize the intersection pairing, degree 4 by the volume class V; at
-    rank zero only the unit and V remain.  The only products of
-    positive-degree classes that can be nonzero are given by the pairing,
-    x_i * x_j = sign(i) V if i == j and 0 otherwise (`pair`); every other one
-    lands above degree 4.  Vectors are sparse dicts from basis index to
-    nonzero coefficient.  The differential is zero throughout.
+    diagonalize the intersection pairing, b2 = b2_plus + b2_minus, degree 4
+    by the volume class V; at rank zero only the unit and V remain.  The
+    only products of positive-degree classes that can be nonzero are given
+    by the pairing, x_i * x_j = sign(i) V if i == j and 0 otherwise (`pair`),
+    the first b2_plus classes positive; every other one lands above degree 4.
+    Vectors are sparse dicts from basis index to nonzero coefficient.  The
+    differential is zero throughout.
     """
 
-    b2: int
     b2_plus: int
     b2_minus: int
 
     def __post_init__(self) -> None:
-        if self.b2 != self.b2_plus + self.b2_minus or min(self.b2_plus, self.b2_minus) < 0:
+        if min(self.b2_plus, self.b2_minus) < 0:
             raise ValueError("invalid signature split")
+
+    @property
+    def b2(self) -> int:
+        return self.b2_plus + self.b2_minus
 
     @property
     def signature(self) -> int:
@@ -278,11 +282,11 @@ class CohomologyAlgebra:
 
 
 def cohomology_algebra(form: IntersectionForm) -> CohomologyAlgebra:
-    return CohomologyAlgebra(form.b2, form.b2_plus, form.b2_minus)
+    return CohomologyAlgebra(form.b2_plus, form.b2_minus)
 
 
 def algebra_from_split(plus: int, minus: int) -> CohomologyAlgebra:
-    return CohomologyAlgebra(plus + minus, plus, minus)
+    return CohomologyAlgebra(plus, minus)
 
 
 # ---------------------------------------------------------------- rank tables
@@ -406,15 +410,17 @@ def complete_intersection_split(degrees: Sequence[int]) -> tuple[int, int]:
 # ------------------------------------------------------------- classification
 
 
-def rationally_equivalent(q1: IntersectionForm, q2: IntersectionForm) -> bool:
-    """Rational equivalence of unimodular forms: same rank and signature.
+def rationally_equivalent(
+    q1: IntersectionForm | CohomologyAlgebra, q2: IntersectionForm | CohomologyAlgebra
+) -> bool:
+    """Rational equivalence of unimodular forms or their algebras: same b2 and signature.
 
     This is the oriented rational homotopy type, so CP^2 and CP^2-bar, with
     signatures 1 and -1, are not equivalent.
     """
-    return q1.rank == q2.rank and q1.signature == q2.signature
+    return q1.b2 == q2.b2 and q1.signature == q2.signature
 
 
-def canonical_connected_sum(q: IntersectionForm) -> tuple[int, int]:
+def canonical_connected_sum(q: IntersectionForm | CohomologyAlgebra) -> tuple[int, int]:
     """(p, q) with diag(+1 x p, -1 x q) rationally equivalent to the form."""
     return q.b2_plus, q.b2_minus

@@ -20,6 +20,7 @@ from fourfold.gca import Derivation, Poly, mul
 from fourfold.sullivan import MinimalModelStage, build
 
 import json_reference
+from test_acceptance import congruent_form
 from test_golden import GOLDEN
 
 
@@ -198,6 +199,28 @@ def test_split_next_to_a_form_file_is_an_input_error(tmp_path, capsys, command):
         assert "--split" in err
 
 
+def _form_matrix(kind):
+    if kind == "diagonal":
+        return forms.diagonal_form([1, -1, -1, 1]).matrix
+    e8_plus_h = [list(row) + [0, 0] for row in forms.e8_form().matrix]
+    e8_plus_h += [[0] * 8 + [0, 1], [0] * 8 + [1, 0]]
+    return congruent_form(random.Random(24), forms.make_form(e8_plus_h)).matrix
+
+
+@pytest.mark.parametrize("kind, split", [("diagonal", "2,2"), ("scrambled-e8-h", "9,1")])
+def test_form_file_and_split_give_the_same_engine_ranks(tmp_path, capsys, kind, split):
+    # Every source comes to one algebra; the ranks depend on b2 alone.
+    matrix = _form_matrix(kind)
+    assert kind == "diagonal" or any(matrix[i][j] for i in range(10) for j in range(i))
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"name": kind, "matrix": matrix}))
+    argv = ("ranks", "--engine", "--max-degree", "5", "--format", "json")
+    by_form = run(capsys, *argv, "--form", str(path))
+    by_split = run(capsys, *argv, "--b2", str(len(matrix)), "--split", split)
+    assert by_form == by_split
+    assert by_form[0] == 0
+
+
 def test_ranks_guard_exceeded_prints_partial(capsys):
     code, out, err = run(capsys, "ranks", "--b2", "5", "--engine", "--guard", "10")
     assert code == 3
@@ -267,9 +290,9 @@ REFERENCE_CELLS = (
     "cell", REFERENCE_CELLS, ids=lambda c: f"b2={c[0]}:{c[1][0]},{c[1][1]}:D={c[2]}"
 )
 def test_model_json_matches_the_reference_encoder(cell):
-    b2, (plus, minus), max_degree = cell
+    _, (plus, minus), max_degree = cell
     stage, table, _ = build(algebra_from_split(plus, minus), max_degree)
-    meta = cli._meta(b2, plus, minus, max_degree)
+    meta = cli._meta(stage.algebra, max_degree)
     text = "".join(cli.model_document(stage, table, meta))
     assert text == json_reference.model_text(stage, table, meta)
 
@@ -286,7 +309,7 @@ def test_model_json_matches_the_reference_on_random_rational_coefficients():
     scaled = MinimalModelStage(
         stage.algebra, stage.gens, Derivation(stage.gens, images), stage.qm, stage.k
     )
-    meta = cli._meta(3, 1, 2, 7)
+    meta = cli._meta(stage.algebra, 7)
     text = "".join(cli.model_document(scaled, table, meta))
     assert "/" in text
     assert text == json_reference.model_text(scaled, table, meta)
@@ -308,7 +331,7 @@ def test_model_json_matches_the_reference_on_hand_built_words():
         poly({(0, 2, 3): 1, (0, 0, 0, 0): 7, (1, 5): -1, (0, 1, 1, 1): 2}),
     ]
     stage = MinimalModelStage(base.algebra, gens, Derivation(gens, images), base.qm, 7)
-    meta = cli._meta(2, 2, 0, 7)
+    meta = cli._meta(base.algebra, 7)
     text = "".join(cli.model_document(stage, table, meta))
     assert text == json_reference.model_text(stage, table, meta)
     assert '"\\u03b2"' in text
@@ -318,7 +341,7 @@ def test_model_json_streams_in_less_memory_than_it_prints():
     # One generator's piece at a time, plus each letter's factor rendered
     # once: the whole text is never held.
     stage, table, _ = build(algebra_from_split(1, 2), 8)
-    meta = cli._meta(3, 1, 2, 8)
+    meta = cli._meta(stage.algebra, 8)
     tracemalloc.start()
     try:
         size = sum(len(piece) for piece in cli.model_document(stage, table, meta))
@@ -471,6 +494,24 @@ def test_classify_catalog_forms_skip_the_elimination(monkeypatch, capsys, pair, 
     code, out, _ = run(capsys, "classify", *pair)
     assert code == 0
     assert f"  {line}\n" in out
+
+
+@pytest.mark.parametrize("p", [3000, 10**21])
+def test_classify_sum_builds_no_matrix(capsys, p):
+    # sum:p,q is read as a split; a p x p matrix would need O(p^2) memory.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "classify", f"sum:{p},0", "cp2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out == (
+        f"  #{p} CP^2 # 0 CP^2-bar: rank {p}, sigma {p}, connected sum ({p}, 0)\n"
+        "  CP^2: rank 1, sigma 1, connected sum (1, 0)\n"
+        "  rational homotopy type: NOT equivalent\n"
+    )
+    assert peak < 4 << 20
 
 
 # ----------------------------------------------------------------- examples
@@ -674,6 +715,20 @@ def test_verify_guard_covers_the_carried_degree(capsys):
     code, out, err = run(capsys, "model", *argv)
     assert (code, err) == (0, "")
     assert out.endswith("  ranks: pi_2=0, pi_3=0, pi_4=1\n")
+
+
+def test_verify_all_splits_over_the_guard_makes_one_split(capsys):
+    # The first split's build trips the degree-2 guard at once; the other
+    # 10**6 splits are never made.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--b2", "1000000", "--all-splits")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "error: monomial basis in degree 2 exceeds the guard limit 200000\n"
+    assert peak < 8 << 20
 
 
 # sha256 of the stdout of `examples k3 --engine --max-degree 5 --guard 1000000`

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fourfold.forms import (
     closed_form_ranks,
     cohomology_algebra,
     complete_intersection_b2,
-    connected_sum_form,
+    complete_intersection_split,
     diagonal_form,
     e8_form,
     empty_form,
@@ -141,7 +142,7 @@ def test_diagonal_form_equals_make_form(entries):
 
 def test_catalog_forms_equal_make_form():
     for q in (hyperbolic_form(), e8_form(), e8_form(negative=True), k3_form(),
-              connected_sum_form(3, 19)):
+              diagonal_form([1] * 3 + [-1] * 19)):
         assert q == make_form(q.matrix)
 
 
@@ -365,6 +366,16 @@ def test_complete_intersection_two_quadrics():
     assert complete_intersection_b2([2, 2]) == 6
 
 
+def test_complete_intersection_split_adds_up_to_b2():
+    # `examples` reads b2 off the split
+    types = [[d] for d in range(1, 200)]
+    for n in (2, 3):
+        types += itertools.combinations_with_replacement(range(1, 9), n)
+    for ds in types:
+        plus, minus = complete_intersection_split(ds)
+        assert min(plus, minus) >= 0 and plus + minus == complete_intersection_b2(ds), ds
+
+
 # ------------------------------------------------------------- classification
 
 
@@ -397,7 +408,7 @@ def test_canonical_connected_sum_examples():
     assert canonical_connected_sum(hyperbolic_form()) == (1, 1)
     assert canonical_connected_sum(empty_form()) == (0, 0)
     p, q = canonical_connected_sum(k3_form())
-    assert rationally_equivalent(connected_sum_form(p, q), k3_form())
+    assert rationally_equivalent(algebra_from_split(p, q), k3_form())
 
 
 def test_rank_table_is_plain_data():
