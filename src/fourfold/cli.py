@@ -98,7 +98,7 @@ def _resolve_form_source(text: str) -> tuple[str, CohomologyAlgebra]:
     if key.startswith("diag:"):
         try:
             entries = [int(x) for x in text[5:].split(",") if x.strip()]
-            return f"diag({text[5:]})", cohomology_algebra(forms.diagonal_form(entries))
+            return f"diag({text[5:]})", forms.diagonal_algebra(entries)
         except ValueError as exc:
             raise InputError(f"bad diagonal form {text!r}: {exc}") from exc
     if key.startswith("sum:"):

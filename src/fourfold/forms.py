@@ -41,6 +41,7 @@ __all__ = [
     "rationally_equivalent",
     "canonical_connected_sum",
     "diagonal_form",
+    "diagonal_algebra",
     "empty_form",
     "hyperbolic_form",
     "e8_form",
@@ -147,27 +148,40 @@ def make_form(matrix: Sequence[Sequence[int]]) -> IntersectionForm:
         for j in range(i):
             if data[i][j] != data[j][i]:
                 raise NotSymmetric("intersection form must be symmetric")
-    return _unimodular(data, *_inertia(data))
+    plus, minus, det = _inertia(data)
+    _check_unimodular(det)
+    return IntersectionForm(data, plus, minus)
 
 
-def _unimodular(data: tuple, plus: int, minus: int, det: int) -> IntersectionForm:
-    """The form of a validated symmetric matrix, given its (plus, minus, det)."""
+def _check_unimodular(det: int) -> None:
     if det != 1 and det != -1:
         raise NotUnimodular(f"determinant is {det}, expected +1 or -1")
-    return IntersectionForm(data, plus, minus)
 
 
 # ---------------------------------------------------------------- catalog
 
 
+def _diagonal_split(diagonal: Sequence[int]) -> tuple[int, int]:
+    """(plus, minus) of diag(diagonal), read off the entries after checking
+    them and their product, the determinant."""
+    for x in diagonal:
+        _validated_int(x)
+    _check_unimodular(math.prod(diagonal))
+    return sum(1 for x in diagonal if x > 0), sum(1 for x in diagonal if x < 0)
+
+
 def diagonal_form(entries: Sequence[int]) -> IntersectionForm:
     """diag(entries), whose split and determinant are read off the entries."""
-    diagonal = [_validated_int(x) for x in entries]
+    diagonal = list(entries)
+    split = _diagonal_split(diagonal)
     zeros = (0,) * len(diagonal)
     data = tuple(zeros[:i] + (x,) + zeros[i + 1 :] for i, x in enumerate(diagonal))
-    plus = sum(1 for x in diagonal if x > 0)
-    minus = sum(1 for x in diagonal if x < 0)
-    return _unimodular(data, plus, minus, math.prod(diagonal))
+    return IntersectionForm(data, *split)
+
+
+def diagonal_algebra(entries: Sequence[int]) -> CohomologyAlgebra:
+    """The cohomology algebra of diag(entries), with no matrix built."""
+    return CohomologyAlgebra(*_diagonal_split(list(entries)))
 
 
 def empty_form() -> IntersectionForm:

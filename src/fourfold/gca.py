@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from copy import copy
-from dataclasses import dataclass
-from itertools import accumulate, groupby
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from math import comb
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import Subspace, add_scaled, exact
 
@@ -76,8 +76,7 @@ class DegreeMismatch(ValueError):
     """A derivation image does not raise degree by exactly one."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     degree: int
 
@@ -85,11 +84,12 @@ class Generator:
 class GeneratorSet:
     """Ordered generators of a free graded-commutative algebra."""
 
-    __slots__ = ("generators", "_index", "_degrees", "_odd", "_suffix_min")
+    __slots__ = ("generators", "_index", "_degrees", "_odd", "_suffix_min", "_multiplicity")
 
     def __init__(self, generators: Iterable):
         self.generators = self._degrees = self._odd = ()
         self._index: dict = {}
+        self._multiplicity: dict = {}  # degree -> number of generators of it
         self._suffix_min = (_NO_DEGREE,)
         self._append(generators)
 
@@ -108,9 +108,13 @@ class GeneratorSet:
         if len(index) != len(self._index) + len(gens):
             raise ValueError("generator names must be unique")
         degrees = tuple([g.degree for g in gens])
-        # The least degree from each position on: the new tail's, then the
-        # old entries, which never decrease, capped by the tail's least.
-        tail = (*reversed(list(accumulate(reversed(degrees), min))), _NO_DEGREE)
+        # The least degree from each position on: the new tail's, one run of
+        # equal degrees at a time, then the old entries, which never
+        # decrease, capped by the tail's least.
+        tail = [_NO_DEGREE]
+        for d, run in groupby(reversed(degrees)):
+            tail += [min(d, tail[-1])] * len(list(run))
+        tail = tuple(reversed(tail[1:])) + (_NO_DEGREE,)
         old = self._suffix_min[:-1]
         cut = bisect_right(old, tail[0])
         self._suffix_min = old[:cut] + (tail[0],) * (len(old) - cut) + tail
@@ -118,6 +122,10 @@ class GeneratorSet:
         self._index = index
         self._degrees += degrees
         self._odd += tuple([d % 2 == 1 for d in degrees])
+        multiplicity = dict(self._multiplicity)
+        for d in dict.fromkeys(degrees):
+            multiplicity[d] = multiplicity.get(d, 0) + degrees.count(d)
+        self._multiplicity = multiplicity
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -142,6 +150,11 @@ class GeneratorSet:
     def degrees(self) -> tuple:
         return self._degrees
 
+    @property
+    def multiplicity(self) -> dict:
+        """The number of generators of each degree, in order of first appearance."""
+        return dict(self._multiplicity)
+
     def extended(self, more: Iterable) -> "GeneratorSet":
         grown = copy(self)
         grown._append(more)
@@ -158,13 +171,29 @@ def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> 
         raise ValueError("degree must be nonnegative")
     if degree == 0:
         return 1  # the unit alone, never guarded
-    # counts[m] is the number of degree-m monomials in the generators seen so
-    # far; an even generator takes any exponent, an odd one 0 or 1.
+    # counts[n] is the number of degree-n monomials in the generators of the
+    # degrees seen so far.  The m generators of degree d multiply its
+    # generating function by (1 + x^d)^m when d is odd (each at most once)
+    # and divide it by (1 - x^d)^m when d is even.  While m <= degree // d
+    # that is one pass per generator; past that, one pass per degree with
+    # the binomials C(m, e) for e up to degree // d, signed (-1)^(e+1) when
+    # d is even, so the cost stays bounded however many generators share d.
     counts = [1] + [0] * degree
-    for d, o in zip(gens._degrees, gens._odd):
-        steps = range(degree, d - 1, -1) if o else range(d, degree + 1)
-        for m in steps:
-            counts[m] += counts[m - d]
+    for d, m in gens._multiplicity.items():
+        top = min(m, degree // d)
+        odd = d % 2
+        steps = range(degree, d - 1, -1) if odd else range(d, degree + 1)
+        if top == m:
+            for _ in range(m):
+                for n in steps:
+                    counts[n] += counts[n - d]
+            continue
+        ways = [(e * d, comb(m, e) if odd or e % 2 else -comb(m, e)) for e in range(1, top + 1)]
+        for n in steps:
+            for shift, w in ways:
+                if shift > n:
+                    break
+                counts[n] += w * counts[n - shift]
     if counts[degree] > guard:
         raise BasisTooLarge(degree, guard)
     return counts[degree]

@@ -17,8 +17,9 @@ rows it eliminates, one per target coordinate, with the columns reversed
 (its docstring states that contract), and eliminates them once; the kernel
 vectors read off that form are in reduced echelon form in the original
 order, and the rows that survive name the pivots of the image, so the rank
-of a map is the size of that set.  `column_kernel` transposes a map given
-by its columns into those rows.  `add_scaled`, acc += c * row in
+of a map is the size of that set.  Every map reaches it in that form:
+the differential from `gca.Derivation.rows`, the stage map from
+`sullivan.QuasiMorphism.rows`.  `add_scaled`, acc += c * row in
 place, is the one sparse accumulate outside elimination.  `QMatrix`, a dense
 matrix with a transpose and a product, is used by no other module; the
 acceptance suite builds U^T S U with it.
@@ -35,7 +36,6 @@ __all__ = [
     "QMatrix",
     "Subspace",
     "kernel",
-    "column_kernel",
     "exact",
     "add_scaled",
 ]
@@ -227,8 +227,8 @@ def kernel(rows: dict, keys: Sequence) -> tuple[Subspace, frozenset]:
     `rows` maps each sortable coordinate of the target to a fresh sparse row
     of nonzero entries, in which column j of the map, the image of basis
     vector `keys[j]`, sits at position len(keys) - 1 - j.  `gca.Derivation.rows`
-    assembles a differential in this form and `column_kernel` transposes
-    columns into it.  The rows, taken in sorted order of their coordinates,
+    assembles a differential in this form and `sullivan.QuasiMorphism.rows`
+    the stage map.  The rows, taken in sorted order of their coordinates,
     are consumed in place by one `_eliminate` to R.  A free
     column f' of R gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f' and
     pivots p' < f'; in the original order it leads with 1 at a free column and
@@ -248,17 +248,3 @@ def kernel(rows: dict, keys: Sequence) -> tuple[Subspace, frozenset]:
                 vectors[keys[last - f]][lead] = -x
     return Subspace(len(keys), vectors), frozenset(t for t in targets if rows[t])
 
-
-def column_kernel(columns: Sequence[dict]) -> tuple[Subspace, frozenset]:
-    """`kernel` of the map that sends basis vector j to `columns[j]`, keyed by j.
-
-    Each column is a sparse dict keyed by any sortable coordinate of the
-    target; its zero entries are left out of the rows.
-    """
-    last = len(columns) - 1
-    rows: dict = {}
-    for j, column in enumerate(columns):
-        for key, x in column.items():
-            if x:
-                rows.setdefault(key, {})[last - j] = x
-    return kernel(rows, range(len(columns)))

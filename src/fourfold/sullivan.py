@@ -21,7 +21,11 @@ loop-space series of the manifold (a divisor sum over Lucas numbers).
 
 Target vectors are sparse rows (basis index -> nonzero coefficient), as in
 the linear algebra layer; cochain rows are keyed by word, as Poly.terms is.
-The only product the stage map needs is CohomologyAlgebra.pair.
+The only product the stage map needs is CohomologyAlgebra.pair.  Every use
+of the stage map, the complement and the kill step of the construction and
+the chain-map and cohomology checks of the verifier, goes through one
+routine, QuasiMorphism.rows: it maps each word of a degree once and writes
+the map of a list of cochains straight into the rows linalg.kernel takes.
 
 Kernel and complement bases are always the deterministic echelon bases of
 the linear algebra layer, so two runs produce identical models.  Within one
@@ -44,8 +48,9 @@ differentials z of the others join the image's pivots.  That is the fresh
 elimination's result, because the z are independent modulo the coboundaries
 by construction (see extend_stage); if the grown basis would exceed the
 guard, the step leaves the degree to be built afresh.  One routine reads H^n
-off that data for the verifier (stage_cohomology) and for the construction,
-which keeps the H^{k+2} classes the stage map kills.  The verifier also
+off that data for the verifier and for the construction, which keeps the
+H^{k+2} classes the stage map kills; stage_cohomology gives its rows as
+polynomials.  The verifier also
 tests d(dx) = 0 as membership of dx in the cached cocycles of its degree, so
 after build() it differentiates no word above degree 2.  The guard is the stage's own, and
 cached data stays within it as rebuilt data would; it counts, never builds,
@@ -68,7 +73,7 @@ from .gca import (
     basis,
     basis_count,
 )
-from .linalg import Subspace, add_scaled, column_kernel, exact, kernel
+from .linalg import Subspace, add_scaled, exact, kernel
 
 __all__ = [
     "NotSimplyConnected",
@@ -112,13 +117,36 @@ class QuasiMorphism:
         i, j = mono
         return algebra.pair(self.images[i], self.images[j])
 
-    def on_poly(self, algebra: CohomologyAlgebra, poly: Poly) -> dict:
-        acc: dict = {}
-        if not algebra.dim(poly.degree):
-            return acc
-        for mono, coeff in poly.terms.items():
-            add_scaled(acc, coeff, self.on_mono(algebra, mono))
-        return acc
+    def rows(self, algebra: CohomologyAlgebra, degree: int, vectors: Sequence[dict]) -> dict:
+        """The map on degree-`degree` cochains given by word-keyed `vectors`,
+        as the rows `linalg.kernel` eliminates.
+
+        Maps each target coordinate to {position: coefficient}, where vector
+        j of the list sits at position len(vectors) - 1 - j; each word is
+        mapped once, entries that cancel are dropped, and so are empty rows.
+        Where A vanishes the map is zero and there are no rows.
+        """
+        out: dict = {}
+        if not algebra.dim(degree):
+            return out
+        images: dict = {}
+        position = len(vectors)
+        for vector in vectors:
+            position -= 1
+            for word, c in vector.items():
+                image = images.get(word)
+                if image is None:
+                    image = images[word] = self.on_mono(algebra, word)
+                for t, x in image.items():
+                    row = out.get(t)
+                    if row is None:
+                        row = out[t] = {}
+                    s = row.get(position, 0) + c * x
+                    if s:
+                        row[position] = s
+                    else:
+                        del row[position]
+        return {t: row for t, row in out.items() if row}
 
     def extended(self, more: Sequence[dict]) -> "QuasiMorphism":
         return QuasiMorphism(self.images + tuple(more))
@@ -178,10 +206,7 @@ class MinimalModelStage:
         self._data = {} if data is None else data
 
     def generator_counts(self) -> dict:
-        counts: dict = {}
-        for g in self.gens:
-            counts[g.degree] = counts.get(g.degree, 0) + 1
-        return counts
+        return self.gens.multiplicity
 
     def rank_table(self) -> RankTable:
         counts = self.generator_counts()
@@ -189,7 +214,12 @@ class MinimalModelStage:
 
 
 def _combine(combo: dict, rows: Sequence[dict]) -> dict:
-    """The sparse row sum of combo[i] * rows[i], in the form of linalg.exact."""
+    """The sparse row sum of combo[i] * rows[i], in the form of linalg.exact;
+    a fresh copy of rows[i] when combo is {i: 1}."""
+    if len(combo) == 1:
+        (i, coeff), = combo.items()
+        if coeff == 1:
+            return dict(rows[i])
     acc: dict = {}
     for i, coeff in combo.items():
         add_scaled(acc, coeff, rows[i])
@@ -254,22 +284,17 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
     # Closed generators: the unit vectors at the non-pivot columns of the image
     # of the stage map, a complement of it in the degree-(k+1) target.
     target_dim = algebra.dim(k + 1)
+    y_images = []
     if target_dim:
-        image_vectors = [
-            stage.qm.on_poly(algebra, Poly(z, k + 1)) for z in low.kernel.rows.values()
-        ]
-        reached = column_kernel(image_vectors)[1]
+        cocycles = list(low.kernel.rows.values())
+        reached = kernel(stage.qm.rows(algebra, k + 1, cocycles), range(len(cocycles)))[1]
         y_images = [{p: 1} for p in range(target_dim) if p not in reached]
-    else:
-        y_images = []
 
     # Exact generators: the degree-(k+2) cohomology classes that the stage
     # map sends to zero.
     classes = _cohomology(stage, k + 2)
     if algebra.dim(k + 2):
-        combos, _ = column_kernel(
-            [stage.qm.on_poly(algebra, Poly(z, k + 2)) for z in classes]
-        )
+        combos, _ = kernel(stage.qm.rows(algebra, k + 2, classes), range(len(classes)))
         # Both bases are reduced, so the combinations are the reduced echelon
         # basis of their span: row c leads with 1 where its free column's
         # class does and vanishes at every other kept class's pivot.
@@ -398,14 +423,19 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
         )
     )
 
-    bad_chain = None
-    for i, g in enumerate(gens):
-        img = stage.diff.image(i)
-        if img.is_zero():
-            continue
-        if stage.qm.on_poly(algebra, img):
-            bad_chain = g.name
-            break
+    # The stage map of every dx, one degree at a time; a nonzero entry at
+    # position p of a degree's rows is a generator it fails to kill.
+    by_degree: dict = {}
+    for i, img in enumerate(stage.diff.images):
+        if not img.is_zero():
+            by_degree.setdefault(img.degree, []).append(i)
+    unkilled = []
+    for degree, indices in by_degree.items():
+        last = len(indices) - 1
+        images = [stage.diff.images[i].terms for i in indices]
+        for row in stage.qm.rows(algebra, degree, images).values():
+            unkilled += [indices[last - p] for p in row]
+    bad_chain = gens[min(unkilled)].name if unkilled else None
     checks.append(
         CheckResult(
             "chain_map",
@@ -416,14 +446,13 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
 
     iso_failures = []
     for i in range(0, stage.k + 1):
-        reps = stage_cohomology(stage, i)
+        reps = _cohomology(stage, i)
         target = algebra.dim(i)
         if len(reps) != target:
             iso_failures.append(f"H^{i}: stage {len(reps)} vs target {target}")
             continue
         if target:
-            rows = [stage.qm.on_poly(algebra, rep) for rep in reps]
-            rank = len(column_kernel(rows)[1])
+            rank = len(kernel(stage.qm.rows(algebra, i, reps), range(target))[1])
             if rank != target:
                 iso_failures.append(f"H^{i}: induced map has rank {rank}")
     checks.append(

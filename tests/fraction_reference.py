@@ -6,15 +6,16 @@ plain rational sweeps: a congruence diagonalization that also returns the
 change of basis, and a Gaussian-elimination determinant.
 
 The package's one way into elimination is `kernel`, which takes the rows
-of a map and also returns the image's pivots; `column_kernel` reaches it from
-the columns of a map.  `kernel_basis` wraps that for dense `QMatrix` inputs; `span` reaches the reduced echelon basis of
-a span of rows through it, and `rref` wraps `span`.
+of a map and also returns the image's pivots; `column_kernel` here reaches
+it from the columns of a map, which the package never needs.  `kernel_basis`
+wraps that for dense `QMatrix` inputs; `span` reaches the reduced echelon
+basis of a span of rows through it, and `rref` wraps `span`.
 """
 
 from fractions import Fraction
 
 from fourfold.forms import NotSymmetric
-from fourfold.linalg import QMatrix, Subspace, column_kernel
+from fourfold.linalg import QMatrix, Subspace, kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -111,6 +112,21 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     entries = [tuple(r.get(j, _ZERO) for j in range(matrix.cols)) for r in reduced.values()]
     entries += [(_ZERO,) * matrix.cols] * (matrix.rows - len(entries))
     return QMatrix(matrix.rows, matrix.cols, tuple(entries)), tuple(reduced), len(reduced)
+
+
+def column_kernel(columns) -> tuple[Subspace, frozenset]:
+    """`kernel` of the map that sends basis vector j to `columns[j]`, keyed by j.
+
+    Each column is a sparse dict keyed by any sortable coordinate of the
+    target; its zero entries are left out of the rows.
+    """
+    last = len(columns) - 1
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for key, x in column.items():
+            if x:
+                rows.setdefault(key, {})[last - j] = x
+    return kernel(rows, range(len(columns)))
 
 
 def kernel_basis(matrix: QMatrix) -> Subspace:

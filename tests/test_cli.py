@@ -514,6 +514,25 @@ def test_classify_sum_builds_no_matrix(capsys, p):
     assert peak < 4 << 20
 
 
+def test_classify_diag_builds_no_matrix(capsys):
+    # diag:e1,...,en is read as a split, as sum:p,q is; the n x n matrix
+    # took some 69 MiB at n = 3000.
+    entries = ",".join(["1"] * 2000 + ["-1"] * 1000)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "classify", f"diag:{entries}", "cp2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out == (
+        f"  diag({entries}): rank 3000, sigma 1000, connected sum (2000, 1000)\n"
+        "  CP^2: rank 1, sigma 1, connected sum (1, 0)\n"
+        "  rational homotopy type: NOT equivalent\n"
+    )
+    assert peak < 4 << 20
+
+
 # ----------------------------------------------------------------- examples
 
 

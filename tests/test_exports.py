@@ -1,7 +1,7 @@
 """Every name a fourfold module exports exists, the package root exports
 exactly the four calls of the README's Library example, no module imports
-another's private names, and `linalg.kernel` is the one way into
-elimination."""
+another's private names, `linalg.kernel` is the one way into
+elimination and `QuasiMorphism.rows` the one way into the stage map."""
 
 import ast
 import importlib
@@ -100,3 +100,16 @@ def test_only_kernel_reaches_the_elimination():
     assert {name: where for name, where in found.items() if where} == {
         "linalg.py": ["kernel"]
     }
+
+
+def test_one_stage_map_route():
+    # The stage map goes into kernel as rows; the column route and the
+    # per-polynomial map live in the tests' references only.
+    from fourfold import linalg, sullivan
+
+    assert not hasattr(linalg, "column_kernel")
+    assert not hasattr(sullivan.QuasiMorphism, "on_poly")
+    sources = sorted(Path(fourfold.__file__).parent.glob("*.py"))
+    for name in ("column_kernel", "on_poly"):
+        found = {path.name: uses(path.read_text(), name) for path in sources}
+        assert {where: used for where, used in found.items() if used} == {}

@@ -228,7 +228,7 @@ def test_algebra_rank_zero_shape():
     # the top class squares to zero: u -> V sends u^2 to degree 8
     gens = GeneratorSet([("u", 4)])
     qm = QuasiMorphism(({0: F(1)},))
-    assert qm.on_poly(a, Poly.from_terms(gens, {(0, 0): 1})) == {}
+    assert qm.rows(a, 8, [Poly.from_terms(gens, {(0, 0): 1}).terms]) == {}
 
 
 def test_algebra_rank_one_powers():
@@ -236,8 +236,8 @@ def test_algebra_rank_one_powers():
     assert a.pair({0: F(1)}, {0: F(1)}) == {0: F(1)}  # x^2 = V
     gens = GeneratorSet([("x", 2)])
     qm = QuasiMorphism(({0: F(1)},))
-    assert qm.on_poly(a, Poly.from_terms(gens, {(0, 0): 1})) == {0: F(1)}
-    assert qm.on_poly(a, Poly.from_terms(gens, {(0, 0, 0): 1})) == {}  # x^3 = 0
+    assert qm.rows(a, 4, [Poly.from_terms(gens, {(0, 0): 1}).terms]) == {0: {0: F(1)}}
+    assert qm.rows(a, 6, [Poly.from_terms(gens, {(0, 0, 0): 1}).terms]) == {}  # x^3 = 0
 
 
 def test_cohomology_algebra_sign_split():

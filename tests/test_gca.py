@@ -112,6 +112,51 @@ def test_basis_guard_trips_before_any_monomial_is_built():
     assert peak < 1 << 20
 
 
+def per_generator_count(gens, degree):
+    """The number of degree-`degree` monomials, folding in one generator at
+    a time: an even one takes any exponent, an odd one 0 or 1."""
+    counts = [1] + [0] * degree
+    for d in gens.degrees:
+        steps = range(degree, d - 1, -1) if d % 2 else range(d, degree + 1)
+        for m in steps:
+            counts[m] += counts[m - d]
+    return counts[degree]
+
+
+def test_basis_count_matches_the_per_generator_count():
+    # basis_count folds in the generators of one degree together, with
+    # binomial coefficients once there are more of them than fit in the
+    # degree (odd ones at most once each); both sides of that are drawn.
+    rng = random.Random(25)
+    for _ in range(200):
+        spec = []
+        for d in rng.sample(range(2, 9), rng.randint(1, 5)):
+            spec += [d] * rng.randint(1, 12)
+        rng.shuffle(spec)
+        gens = GeneratorSet([(f"g{i}", d) for i, d in enumerate(spec)])
+        for degree in range(0, 19):
+            expected = per_generator_count(gens, degree)
+            assert basis_count(gens, degree, guard=expected) == expected
+            if degree and expected:
+                with pytest.raises(BasisTooLarge) as info:
+                    basis_count(gens, degree, guard=expected - 1)
+                assert str(info.value) == (
+                    f"monomial basis in degree {degree} exceeds the guard limit {expected - 1}"
+                )
+    assert basis_count(GeneratorSet([("v", 3), ("w", 3)]), 6) == 1  # v*w alone
+    assert basis_count(GeneratorSet([]), 0, guard=0) == 1
+    with pytest.raises(ValueError):
+        basis_count(two_vars(), -1)
+
+
+def test_generator_set_counts_each_degree():
+    gens = GeneratorSet([("a", 3), ("b", 2), ("c", 3)])
+    assert gens.multiplicity == {3: 2, 2: 1}
+    grown = gens.extended([("d", 4), ("e", 2)])
+    assert grown.multiplicity == {3: 2, 2: 2, 4: 1}
+    assert gens.multiplicity == {3: 2, 2: 1}  # the original is left alone
+
+
 def test_basis_guard_is_the_exact_count():
     rng = random.Random(7)
     for _ in range(300):

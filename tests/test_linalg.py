@@ -7,11 +7,12 @@ import pytest
 from fourfold import linalg
 from fourfold.forms import NotSymmetric, algebra_from_split
 from fourfold.gca import basis
-from fourfold.linalg import QMatrix, Subspace, column_kernel, kernel
+from fourfold.linalg import QMatrix, Subspace, kernel
 from fourfold.sullivan import build
 
 import leibniz_reference
 from fraction_reference import (
+    column_kernel,
     congruence_diagonalize,
     dense,
     determinant,

@@ -15,7 +15,7 @@ from fourfold.gca import (
     basis,
     mul,
 )
-from fourfold.linalg import QMatrix, column_kernel
+from fourfold.linalg import QMatrix
 from fourfold.sullivan import (
     MinimalModelStage,
     NotSimplyConnected,
@@ -28,7 +28,7 @@ from fourfold.sullivan import (
 )
 import leibniz_reference
 from d_squared_reference import check_d_squared
-from fraction_reference import kernel_basis, span
+from fraction_reference import column_kernel, kernel_basis, span
 from test_gca import gen
 from test_linalg import canonical, ref_complement, ref_rref
 
@@ -472,6 +472,92 @@ def test_model_coefficients_are_ints_or_proper_fractions(split, max_degree):
     assert all(canonical(x) for x in differential + rows)
     others = [x for image in stage.qm.images for x in image.values()]
     assert not any(isinstance(x, float) for x in others)
+
+
+def test_kill_step_combination_of_one_class_is_a_copy():
+    classes = [{(0, 0): 1, (1, 1): -1}, {(0, 1): F(1, 2)}]
+    row = sullivan._combine({1: 1}, classes)
+    assert row == classes[1] and row is not classes[1]
+    assert sullivan._combine({1: 2}, classes) == {(0, 1): 1}
+
+
+# ------------------------------------------------------------- stage-map rows
+
+
+def reference_image(qm, algebra, degree, vector):
+    """The stage map of one word-keyed vector, one word at a time (the
+    per-polynomial route that `QuasiMorphism.rows` replaces)."""
+    acc = {}
+    if algebra.dim(degree):
+        for word, c in vector.items():
+            linalg.add_scaled(acc, c, qm.on_mono(algebra, word))
+    return acc
+
+
+def assert_rows_match_the_reference(qm, algebra, degree, vectors):
+    images = [reference_image(qm, algebra, degree, v) for v in vectors]
+    rows = qm.rows(algebra, degree, vectors)
+    last = len(vectors) - 1
+    expected = {}
+    for j, image in enumerate(images):
+        for t, x in image.items():
+            expected.setdefault(t, {})[last - j] = x
+    assert rows == expected
+    assert all(row and all(row.values()) for row in rows.values())
+    assert linalg.kernel(rows, range(len(vectors))) == column_kernel(images)
+
+
+def test_stage_map_rows_match_the_per_vector_route():
+    rng = random.Random(2501)
+    for _ in range(60):
+        algebra = algebra_from_split(rng.randint(0, 4), rng.randint(0, 3))
+        b2 = algebra.b2
+        # degree-2 generators, then a few of degree 4 mapped to multiples of V
+        twos = [
+            {i: F(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+             for i in rng.sample(range(b2), rng.randint(1, b2))}
+            for _ in range(rng.randint(0, 5) if b2 else 0)
+        ]
+        if len(twos) > 1:
+            twos[-1] = dict(twos[0])  # two generators with one image
+        fours = [{0: rng.choice([1, -2, F(1, 3)])} for _ in range(rng.randint(0, 3))]
+        qm = QuasiMorphism(tuple(twos + fours))
+        n2 = len(twos)
+        words = {
+            2: [(i,) for i in range(n2)],
+            4: [(i, j) for i in range(n2) for j in range(i, n2)]
+            + [(n2 + i,) for i in range(len(fours))],
+        }
+        for degree, pool in words.items():
+            mapped = [w for w in pool if qm.on_mono(algebra, w)]
+            vectors = []
+            for _ in range(rng.randint(0, 6)):
+                vector = {w: F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                          for w in rng.sample(pool, rng.randint(0, len(pool)))}
+                if len(mapped) > 1 and rng.random() < 0.6:
+                    # words whose images cancel in this vector
+                    a, b = rng.sample(mapped, 2)
+                    ia, ib = qm.on_mono(algebra, a), qm.on_mono(algebra, b)
+                    t = next(iter(ia))
+                    if set(ia) == set(ib) and all(ia[s] * ib[t] == ib[s] * ia[t] for s in ia):
+                        vector[a], vector[b] = ib[t], -ia[t]
+                vectors.append(vector)
+            assert_rows_match_the_reference(qm, algebra, degree, vectors)
+        # where A vanishes the map has no rows
+        assert qm.rows(algebra, 6, [{(0, 0, 0): 1}] if n2 else []) == {}
+
+
+def test_stage_map_rows_on_the_hypersurface_kill_step():
+    # b2 = 53, split (9, 44): the degree-4 classes of stage 2, all 1431 words,
+    # that the first extension step reads the stage map on.
+    algebra = algebra_from_split(9, 44)
+    stage = init_stage(algebra)
+    classes = [p.terms for p in stage_cohomology(stage, 4)]
+    assert len(classes) == 53 * 54 // 2
+    assert_rows_match_the_reference(stage.qm, algebra, 4, classes)
+    rows = stage.qm.rows(algebra, 4, classes)
+    combos, pivots = linalg.kernel(rows, range(len(classes)))
+    assert (combos.dim, len(pivots)) == (1430, 1)
 
 
 def test_kill_step_combinations_are_in_exact_form():
