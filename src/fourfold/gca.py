@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from copy import copy
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -108,13 +108,9 @@ class GeneratorSet:
         if len(index) != len(self._index) + len(gens):
             raise ValueError("generator names must be unique")
         degrees = tuple([g.degree for g in gens])
-        # The least degree from each position on: the new tail's, one run of
-        # equal degrees at a time, then the old entries, which never
-        # decrease, capped by the tail's least.
-        tail = [_NO_DEGREE]
-        for d, run in groupby(reversed(degrees)):
-            tail += [min(d, tail[-1])] * len(list(run))
-        tail = tuple(reversed(tail[1:])) + (_NO_DEGREE,)
+        # The least degree from each position on: the new tail's, then the
+        # old entries, which never decrease, capped by the tail's least.
+        tail = (*reversed(list(accumulate(reversed(degrees), min))), _NO_DEGREE)
         old = self._suffix_min[:-1]
         cut = bisect_right(old, tail[0])
         self._suffix_min = old[:cut] + (tail[0],) * (len(old) - cut) + tail
@@ -174,8 +170,7 @@ def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> 
     # counts[n] is the number of degree-n monomials in the generators of the
     # degrees seen so far.  The m generators of degree d multiply its
     # generating function by (1 + x^d)^m when d is odd (each at most once)
-    # and divide it by (1 - x^d)^m when d is even.  While m <= degree // d
-    # that is one pass per generator; past that, one pass per degree with
+    # and divide it by (1 - x^d)^m when d is even: one pass per degree with
     # the binomials C(m, e) for e up to degree // d, signed (-1)^(e+1) when
     # d is even, so the cost stays bounded however many generators share d.
     counts = [1] + [0] * degree
@@ -183,11 +178,6 @@ def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> 
         top = min(m, degree // d)
         odd = d % 2
         steps = range(degree, d - 1, -1) if odd else range(d, degree + 1)
-        if top == m:
-            for _ in range(m):
-                for n in steps:
-                    counts[n] += counts[n - d]
-            continue
         ways = [(e * d, comb(m, e) if odd or e % 2 else -comb(m, e)) for e in range(1, top + 1)]
         for n in steps:
             for shift, w in ways:

@@ -48,9 +48,8 @@ differentials z of the others join the image's pivots.  That is the fresh
 elimination's result, because the z are independent modulo the coboundaries
 by construction (see extend_stage); if the grown basis would exceed the
 guard, the step leaves the degree to be built afresh.  One routine reads H^n
-off that data for the verifier and for the construction, which keeps the
-H^{k+2} classes the stage map kills; stage_cohomology gives its rows as
-polynomials.  The verifier also
+off that data for the verifier (stage_cohomology) and for the construction,
+which keeps the H^{k+2} classes the stage map kills.  The verifier also
 tests d(dx) = 0 as membership of dx in the cached cocycles of its degree, so
 after build() it differentiates no word above degree 2.  The guard is the stage's own, and
 cached data stays within it as rebuilt data would; it counts, never builds,
@@ -423,19 +422,13 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
         )
     )
 
-    # The stage map of every dx, one degree at a time; a nonzero entry at
-    # position p of a degree's rows is a generator it fails to kill.
-    by_degree: dict = {}
-    for i, img in enumerate(stage.diff.images):
-        if not img.is_zero():
-            by_degree.setdefault(img.degree, []).append(i)
-    unkilled = []
-    for degree, indices in by_degree.items():
-        last = len(indices) - 1
-        images = [stage.diff.images[i].terms for i in indices]
-        for row in stage.qm.rows(algebra, degree, images).values():
-            unkilled += [indices[last - p] for p in row]
-    bad_chain = gens[min(unkilled)].name if unkilled else None
+    bad_chain = None
+    for g, img in zip(gens, stage.diff.images):
+        if img.is_zero():
+            continue
+        if stage.qm.rows(algebra, img.degree, [img.terms]):
+            bad_chain = g.name
+            break
     checks.append(
         CheckResult(
             "chain_map",
@@ -446,13 +439,14 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
 
     iso_failures = []
     for i in range(0, stage.k + 1):
-        reps = _cohomology(stage, i)
+        reps = stage_cohomology(stage, i)
         target = algebra.dim(i)
         if len(reps) != target:
             iso_failures.append(f"H^{i}: stage {len(reps)} vs target {target}")
             continue
         if target:
-            rank = len(kernel(stage.qm.rows(algebra, i, reps), range(target))[1])
+            rows = stage.qm.rows(algebra, i, [rep.terms for rep in reps])
+            rank = len(kernel(rows, range(target))[1])
             if rank != target:
                 iso_failures.append(f"H^{i}: induced map has rank {rank}")
     checks.append(
