@@ -265,7 +265,7 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> It
     sep, close = "\n", "]"
     for i, g in enumerate(stage.gens):
         terms = []
-        for mono, coeff in sorted(stage.diff.image(i).terms.items()):
+        for mono, coeff in sorted(stage.diff.images[i].items()):
             if len(set(mono)) == len(mono):
                 factors = _FACTOR_SEP.join([letters[j] for j in mono])
             else:
@@ -302,8 +302,8 @@ def cmd_model(args) -> int:
         if not len(stage.gens):
             print("  no generators below degree", args.max_degree + 1)
         for i, g in enumerate(stage.gens):
-            image = stage.diff.image(i)
-            print(f"  {g.name} (degree {g.degree})  d = {format_poly(stage.gens, image)}")
+            image = format_poly(stage.gens, stage.diff.images[i])
+            print(f"  {g.name} (degree {g.degree})  d = {image}")
         ranks = ", ".join(f"pi_{r}={v}" for r, v in sorted(table.ranks.items()))
         print(f"  ranks: {ranks}")
     bad = loop_space_mismatches(algebra.b2, table.ranks)

@@ -49,7 +49,6 @@ __all__ = [
     "mono_mul",
     "decomposable_subspace",
     "format_poly",
-    "format_mono",
 ]
 
 DEFAULT_GUARD = 200_000
@@ -224,7 +223,7 @@ def _koszul_sign(a_odd: list, b_odd: list) -> int:
     """Sign of the product a * b from the ascending odd letters of each word.
 
     (-1) to the number of pairs of an odd letter of a above one of b, or 0
-    when they share one; the one sign rule of `mono_mul` and `columns`.
+    when they share one; the one sign rule of `mono_mul` and `Derivation.rows`.
     """
     inversions = 0
     for j in b_odd:
@@ -254,10 +253,6 @@ class Poly:
     def __init__(self, terms: dict | None = None, degree: int | None = None):
         self.terms = terms or {}
         self.degree = degree if terms else None
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
 
     @staticmethod
     def from_terms(gens: GeneratorSet, items: Mapping) -> "Poly":
@@ -311,9 +306,6 @@ class Poly:
             return Poly()
         return Poly({m: c * coeff for m, c in self.terms.items()}, self.degree)
 
-    def __rmul__(self, coeff) -> "Poly":
-        return self.scaled(coeff)
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
@@ -324,7 +316,7 @@ class Poly:
 def mul(gens: GeneratorSet, a: Poly, b: Poly) -> Poly:
     """Graded-commutative product of two homogeneous polynomials."""
     if a.is_zero() or b.is_zero():
-        return Poly.zero()
+        return Poly()
     acc: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -343,19 +335,21 @@ def mul(gens: GeneratorSet, a: Poly, b: Poly) -> Poly:
                 else:
                     del acc[m]
     if not acc:
-        return Poly.zero()
+        return Poly()
     return Poly(acc, a.degree + b.degree)
 
 
-def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[Poly]) -> tuple:
-    """`images` then `more`, one per generator of `gens`; only `more` is checked."""
+def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[dict]) -> tuple:
+    """`images` then `more`, one per generator of `gens`; only `more` is checked,
+    each nonzero image by the degree of one of its words."""
     more = tuple(more)
     if len(images) + len(more) != len(gens):
         raise ValueError("one image per generator is required")
     for g, img in zip(gens.generators[len(images) :], more):
-        if not img.is_zero() and img.degree != g.degree + 1:
+        degree = gens.monomial_degree(next(iter(img))) if img else g.degree + 1
+        if degree != g.degree + 1:
             raise DegreeMismatch(
-                f"image of {g.name} has degree {img.degree}, expected {g.degree + 1}"
+                f"image of {g.name} has degree {degree}, expected {g.degree + 1}"
             )
     return images + more
 
@@ -363,20 +357,19 @@ def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[Poly]) ->
 class Derivation:
     """Degree +1 derivation of the free algebra, given by generator images.
 
-    The extension to the whole algebra follows the graded Leibniz rule
+    Each image is a word dict {word: coeff}, homogeneous of degree one above
+    its generator, and {} for a closed generator.  The extension to the
+    whole algebra follows the graded Leibniz rule
     D(ab) = D(a) b + (-1)^{|a|} a D(b).
     """
 
     __slots__ = ("gens", "images")
 
-    def __init__(self, gens: GeneratorSet, images: Sequence[Poly]):
+    def __init__(self, gens: GeneratorSet, images: Sequence[dict]):
         self.gens = gens
         self.images = _appended_images(gens, (), images)
 
-    def image(self, i: int) -> Poly:
-        return self.images[i]
-
-    def extended(self, gens: GeneratorSet, new_images: Sequence[Poly]) -> "Derivation":
+    def extended(self, gens: GeneratorSet, new_images: Sequence[dict]) -> "Derivation":
         """The derivation on `gens`, which extends `self.gens`, with images appended."""
         grown = copy(self)
         grown.gens = gens
@@ -386,7 +379,7 @@ class Derivation:
     def minimality_witness(self):
         """First (generator name, monomial) whose image has a linear term."""
         for g, img in zip(self.gens, self.images):
-            for mono in img.terms:
+            for mono in img:
                 if len(mono) < 2:
                     return g.name, mono
         return None
@@ -397,8 +390,7 @@ class Derivation:
         Maps each target word to {position: coefficient}, where word j of the
         list sits at position len(words) - 1 - j.
         """
-        degs, odd = self.gens._degrees, self.gens._odd
-        images = [img.terms for img in self.images]
+        degs, odd, images = self.gens._degrees, self.gens._odd, self.images
         out: dict = {}
         position = len(words)
         for mono in words:
@@ -466,26 +458,18 @@ def decomposable_subspace(
     return Subspace(len(blist), {i: {i: 1} for i in sorted(hit)})
 
 
-def format_mono(gens: GeneratorSet, mono: Mono) -> str:
-    if not mono:
-        return "1"
-    parts = []
-    for i, run in groupby(mono):
-        e = len(list(run))
-        parts.append(gens[i].name if e == 1 else f"{gens[i].name}^{e}")
-    return "*".join(parts)
-
-
-def format_poly(gens: GeneratorSet, poly: Poly) -> str:
-    if poly.is_zero():
+def format_poly(gens: GeneratorSet, terms: dict) -> str:
+    """A word dict {word: coeff} as text in graded-lex order, e.g. 2*x1^2 - x1*x2."""
+    if not terms:
         return "0"
     pieces = []
-    for mono in sorted(poly.terms):
-        coeff = poly.terms[mono]
+    for mono in sorted(terms):
+        coeff = terms[mono]
         negative = coeff < 0
         mag = -coeff if negative else coeff
-        body = format_mono(gens, mono)
-        if body == "1":
+        factors = [(gens[i].name, len(list(run))) for i, run in groupby(mono)]
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in factors)
+        if not body:
             text = str(mag)
         elif mag == 1:
             text = body

@@ -20,7 +20,8 @@ verdict the command line uses too: forms.loop_space_mismatches, against the
 loop-space series of the manifold (a divisor sum over Lucas numbers).
 
 Target vectors are sparse rows (basis index -> nonzero coefficient), as in
-the linear algebra layer; cochain rows are keyed by word, as Poly.terms is.
+the linear algebra layer; cochain rows, and the differential of each
+generator, are word dicts {word: coeff}.
 The only product the stage map needs is CohomologyAlgebra.pair.  Every use
 of the stage map, the complement and the kill step of the construction and
 the chain-map and cohomology checks of the verifier, goes through one
@@ -48,7 +49,7 @@ differentials z of the others join the image's pivots.  That is the fresh
 elimination's result, because the z are independent modulo the coboundaries
 by construction (see extend_stage); if the grown basis would exceed the
 guard, the step leaves the degree to be built afresh.  One routine reads H^n
-off that data for the verifier (stage_cohomology) and for the construction,
+off that data for the verifier and for the construction (_cohomology),
 which keeps the H^{k+2} classes the stage map kills.  The verifier also
 tests d(dx) = 0 as membership of dx in the cached cocycles of its degree, so
 after build() it differentiates no word above degree 2.  The guard is the stage's own, and
@@ -68,7 +69,6 @@ from .gca import (
     Derivation,
     Generator,
     GeneratorSet,
-    Poly,
     basis,
     basis_count,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "VerifyReport",
     "init_stage",
     "extend_stage",
-    "stage_cohomology",
     "build",
     "verify_stage",
 ]
@@ -255,7 +254,7 @@ def init_stage(algebra: CohomologyAlgebra, guard: int = DEFAULT_GUARD) -> Minima
         )
     n2 = algebra.dim(2)
     gens = GeneratorSet([(f"x{i + 1}", 2) for i in range(n2)])
-    diff = Derivation(gens, [Poly.zero()] * n2)
+    diff = Derivation(gens, [{}] * n2)
     qm = QuasiMorphism(tuple({i: 1} for i in range(n2)))
     return MinimalModelStage(algebra, gens, diff, qm, 2, guard)
 
@@ -298,16 +297,13 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
         # basis of their span: row c leads with 1 where its free column's
         # class does and vanishes at every other kept class's pivot.
         classes = [_combine(c, classes) for c in combos.rows.values()]
-    z_polys = [Poly(z, k + 2) for z in classes]
 
     degree = k + 1
     new_gens = [Generator(f"u{degree}_{i + 1}", degree) for i in range(len(y_images))]
-    new_gens += [Generator(f"v{degree}_{j + 1}", degree) for j in range(len(z_polys))]
+    new_gens += [Generator(f"v{degree}_{j + 1}", degree) for j in range(len(classes))]
     gens2 = gens.extended(new_gens)
-    diff2 = stage.diff.extended(
-        gens2, [Poly.zero()] * len(y_images) + list(z_polys)
-    )
-    qm2 = stage.qm.extended(y_images + [{}] * len(z_polys))
+    diff2 = stage.diff.extended(gens2, [{}] * len(y_images) + classes)
+    qm2 = stage.qm.extended(y_images + [{}] * len(classes))
     # Degree-n cochain data stays valid while no monomial of degree n is
     # created: appending degree-(k+1) generators only touches degree k+1
     # itself and degrees >= k+3, where the d of degree k+2 lands: keep it only
@@ -325,13 +321,8 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
         bounds = low.bounds | {min(z) for z in classes}
         carried[k + 1] = _DiffData(Subspace(width, cocycles), bounds)
     successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, stage.guard, carried)
-    report = StageReport(k + 1, len(y_images), len(z_polys))
+    report = StageReport(k + 1, len(y_images), len(classes))
     return successor, report
-
-
-def stage_cohomology(stage: MinimalModelStage, n: int) -> list:
-    """Cocycle representatives of a basis of H^n, as the construction reads it."""
-    return [Poly(v, n) for v in _cohomology(stage, n)]
 
 
 def build(
@@ -400,9 +391,7 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
     # the generators; d(dx) = 0 says dx is a cocycle of degree |x| + 1.
     bad_square = None
     for g, img in zip(gens, stage.diff.images):
-        if img.is_zero():
-            continue
-        if not _diff_data(stage, g.degree + 1).kernel.contains(img.terms):
+        if img and not _diff_data(stage, g.degree + 1).kernel.contains(img):
             bad_square = g.name
             break
     checks.append(
@@ -424,9 +413,7 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
 
     bad_chain = None
     for g, img in zip(gens, stage.diff.images):
-        if img.is_zero():
-            continue
-        if stage.qm.rows(algebra, img.degree, [img.terms]):
+        if img and stage.qm.rows(algebra, g.degree + 1, [img]):
             bad_chain = g.name
             break
     checks.append(
@@ -439,13 +426,13 @@ def verify_stage(stage: MinimalModelStage) -> VerifyReport:
 
     iso_failures = []
     for i in range(0, stage.k + 1):
-        reps = stage_cohomology(stage, i)
+        reps = _cohomology(stage, i)
         target = algebra.dim(i)
         if len(reps) != target:
             iso_failures.append(f"H^{i}: stage {len(reps)} vs target {target}")
             continue
         if target:
-            rows = stage.qm.rows(algebra, i, [rep.terms for rep in reps])
+            rows = stage.qm.rows(algebra, i, reps)
             rank = len(kernel(rows, range(target))[1])
             if rank != target:
                 iso_failures.append(f"H^{i}: induced map has rank {rank}")

@@ -26,9 +26,9 @@ def check_d_squared(gens: GeneratorSet, deriv: Derivation) -> DSquaredReport:
     whole algebra exactly when it vanishes on the generators.
     """
     for g, img in zip(gens, deriv.images):
-        if img.is_zero():
+        if not img:
             continue
-        sq = deriv.apply(img)
+        sq = deriv.apply(Poly(img, g.degree + 1))
         if not sq.is_zero():
             return DSquaredReport(False, g.name, sq)
     return DSquaredReport(True)

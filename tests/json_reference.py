@@ -10,11 +10,11 @@ import json
 from itertools import groupby
 
 
-def poly_json(stage, poly) -> list:
+def poly_json(stage, terms: dict) -> list:
     gens = stage.gens
     out = []
-    for mono in sorted(poly.terms):
-        coeff = poly.terms[mono]
+    for mono in sorted(terms):
+        coeff = terms[mono]
         out.append(
             {
                 "coeff": str(coeff),
@@ -30,7 +30,7 @@ def model_document(stage, table, meta: dict) -> dict:
             {
                 "name": g.name,
                 "degree": g.degree,
-                "differential": poly_json(stage, stage.diff.image(i)),
+                "differential": poly_json(stage, stage.diff.images[i]),
             }
             for i, g in enumerate(stage.gens)
         ],

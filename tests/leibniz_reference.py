@@ -27,7 +27,7 @@ def apply_mono(deriv: Derivation, mono: Mono) -> dict:
         e = mono.count(i)
         rest = mono[:k] + mono[k + 1 :]
         outer = -e if prefix & degs[i] & 1 else e
-        for t, c in deriv.images[i].terms.items():
+        for t, c in deriv.images[i].items():
             sm = mono_mul(gens, t, rest)
             if sm is not None:
                 sign, m = sm

@@ -302,10 +302,8 @@ def test_model_json_matches_the_reference_on_random_rational_coefficients():
     # and non-integer coefficients in every term.
     rng = random.Random(9)
     stage, table, _ = build(algebra_from_split(1, 2), 7)
-    images = [
-        image.scaled(Fraction(rng.randint(-999, 999) or 1, rng.randint(1, 999)))
-        for image in stage.diff.images
-    ]
+    scales = [Fraction(rng.randint(-999, 999) or 1, rng.randint(1, 999)) for _ in stage.gens]
+    images = [{m: c * q for m, c in image.items()} for image, q in zip(stage.diff.images, scales)]
     scaled = MinimalModelStage(
         stage.algebra, stage.gens, Derivation(stage.gens, images), stage.qm, stage.k
     )
@@ -320,10 +318,10 @@ def test_model_json_matches_the_reference_on_hand_built_words():
     # cubes and a fourth power, odd letters, and a name that JSON escapes.
     base, table, _ = build(algebra_from_split(2, 0), 2)
     gens = base.gens.extended([("a", 3), ("\u03b2", 3), ("v", 5), ("w", 6), ("z", 7)])
-    poly = lambda terms: Poly.from_terms(gens, terms)
+    poly = lambda terms: Poly.from_terms(gens, terms).terms
     images = [
-        Poly.zero(),
-        Poly.zero(),
+        {},
+        {},
         poly({(0, 0): 1, (1, 1): -1}),
         poly({(0, 1): Fraction(1, 2)}),
         poly({(0, 0, 0): 1, (0, 0, 1): -2, (2, 3): 1, (1, 1, 1): 5}),
@@ -794,7 +792,7 @@ def test_verify_single_rank_all_splits(capsys):
 
 
 # sha256 of the stdout of each sweep benchmark command, recorded before
-# `_diff_data`, `stage_cohomology` and `verify_stage` moved onto
+# `_diff_data`, the H^n reading and `verify_stage` moved onto
 # `linalg.kernel`.
 VERIFY_DIGESTS = {
     "verify --all-splits":
@@ -827,7 +825,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         gens = stage.gens
         x1 = Poly.from_terms(gens, {(gens.index("x1"),): 1})
         images = list(stage.diff.images)
-        images[gens.index("v3_1")] = mul(gens, x1, x1)
+        images[gens.index("v3_1")] = mul(gens, x1, x1).terms
         broken = MinimalModelStage(
             algebra, gens, Derivation(gens, images), stage.qm, stage.k
         )

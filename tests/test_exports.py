@@ -1,7 +1,8 @@
 """Every name a fourfold module exports exists, the package root exports
 exactly the four calls of the README's Library example, no module imports
 another's private names, `linalg.kernel` is the one way into
-elimination and `QuasiMorphism.rows` the one way into the stage map."""
+elimination, `QuasiMorphism.rows` the one way into the stage map and word
+dicts the one cochain form of the model build."""
 
 import ast
 import importlib
@@ -103,13 +104,26 @@ def test_only_kernel_reaches_the_elimination():
 
 
 def test_one_stage_map_route():
-    # The stage map goes into kernel as rows; the column route and the
-    # per-polynomial map live in the tests' references only.
+    # The stage map goes into kernel as rows; the column route, the
+    # per-polynomial map and the Poly-wrapped H^n live in the tests only.
     from fourfold import linalg, sullivan
 
     assert not hasattr(linalg, "column_kernel")
     assert not hasattr(sullivan.QuasiMorphism, "on_poly")
     sources = sorted(Path(fourfold.__file__).parent.glob("*.py"))
-    for name in ("column_kernel", "on_poly"):
+    for name in ("column_kernel", "on_poly", "stage_cohomology"):
         found = {path.name: uses(path.read_text(), name) for path in sources}
         assert {where: used for where, used in found.items() if used} == {}
+
+
+def test_the_model_build_reads_no_poly():
+    # A generator's differential is a word dict, like every other cochain
+    # of the build; Poly stays the algebra's API for products and tests.
+    from fourfold import gca
+
+    assert not hasattr(gca.Derivation, "image")
+    assert not hasattr(gca.Poly, "zero") and "__rmul__" not in vars(gca.Poly)
+    assert "format_mono" not in gca.__all__
+    root = Path(fourfold.__file__).parent
+    for name in ("sullivan.py", "cli.py"):
+        assert uses((root / name).read_text(), "Poly") == [], name

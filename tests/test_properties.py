@@ -122,14 +122,14 @@ def derivations(draw):
     gens = GeneratorSet([(f"g{i}", d) for i, d in enumerate(degrees)])
     images = []
     for d in degrees:
-        same = [img for img, e in zip(images, degrees) if e == d and not img.is_zero()]
+        same = [img for img, e in zip(images, degrees) if e == d and img]
         if same and draw(st.booleans()):
             images.append(draw(st.sampled_from(same)))
             continue
         words = basis(gens, d + 1)
         chosen = draw(st.lists(st.sampled_from(words), max_size=4, unique=True)) if words else []
         coeffs = draw(st.lists(COEFFS, min_size=len(chosen), max_size=len(chosen)))
-        images.append(Poly.from_terms(gens, dict(zip(chosen, coeffs))))
+        images.append(Poly.from_terms(gens, dict(zip(chosen, coeffs))).terms)
     return Derivation(gens, images)
 
 

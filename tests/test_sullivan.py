@@ -15,7 +15,7 @@ from fourfold.gca import (
     basis,
     mul,
 )
-from fourfold.linalg import QMatrix
+from fourfold.linalg import QMatrix, add_scaled
 from fourfold.sullivan import (
     MinimalModelStage,
     NotSimplyConnected,
@@ -23,7 +23,6 @@ from fourfold.sullivan import (
     build,
     extend_stage,
     init_stage,
-    stage_cohomology,
     verify_stage,
 )
 import leibniz_reference
@@ -55,7 +54,7 @@ def test_init_stage_rank_three():
     assert all(g.degree == 2 for g in stage.gens)
     for i in range(3):
         assert stage.qm.images[i] == {i: 1}
-        assert stage.diff.image(i).is_zero()
+        assert stage.diff.images[i] == {}
 
 
 def test_init_stage_memory_is_linear_in_b2():
@@ -96,16 +95,16 @@ def test_first_extension_rank_three_adds_five_exact_generators():
     x = [gen(gens, f"x{i}") for i in (1, 2, 3)]
     sq = lambda i: mul(gens, x[i - 1], x[i - 1])
     expected = [
-        sq(1) - sq(2),
-        sq(1) - sq(3),
-        mul(gens, x[0], x[1]),
-        mul(gens, x[0], x[2]),
-        mul(gens, x[1], x[2]),
+        (sq(1) - sq(2)).terms,
+        (sq(1) - sq(3)).terms,
+        mul(gens, x[0], x[1]).terms,
+        mul(gens, x[0], x[2]).terms,
+        mul(gens, x[1], x[2]).terms,
     ]
     got = [stage.diff.images[gens.index(g.name)] for g in new]
 
-    def rank(polys):
-        return len(column_kernel([p.terms for p in polys])[1])
+    def rank(images):
+        return len(column_kernel(images)[1])
 
     # equal spans: both have rank 5, and so has their union
     assert rank(got) == rank(expected) == rank(got + expected) == 5
@@ -168,13 +167,13 @@ def hand_stage(split):
     )
     x = {i: gen(gens, f"x{i}") for i in (1, 2, 3)}
     sq = lambda i: mul(gens, x[i], x[i])
-    images = [Poly.zero()] * 3
+    images = [{}] * 3
     for i in (2, 3):
         s_i = -1 if sign(i) == sign(1) else 1
-        images.append(sq(1) + sq(i).scaled(s_i))  # v2, v3
-    images.append(mul(gens, x[1], x[2]))  # v12
-    images.append(mul(gens, x[1], x[3]))  # v13
-    images.append(mul(gens, x[2], x[3]))  # v23
+        images.append((sq(1) + sq(i).scaled(s_i)).terms)  # v2, v3
+    images.append(mul(gens, x[1], x[2]).terms)  # v12
+    images.append(mul(gens, x[1], x[3]).terms)  # v13
+    images.append(mul(gens, x[2], x[3]).terms)  # v23
     return gens, Derivation(gens, images)
 
 
@@ -184,12 +183,12 @@ def test_degree5_system_matches_differential_kernel(split):
     a = algebra_from_split(*split)
     qm = QuasiMorphism(tuple({i: F(1)} for i in range(3)) + ({},) * 5)
     stage = MinimalModelStage(a, gens, deriv, qm, 3)
-    reps = stage_cohomology(stage, 5)
+    reps = sullivan._cohomology(stage, 5)
     # no coboundaries, so the representatives span the cocycles
     assert sullivan._diff_data(stage, 4).bounds == set()
     index = {m: i for i, m in enumerate(basis(gens, 5))}
     engine_kernel = span(
-        len(index), [{index[m]: c for m, c in rep.terms.items()} for rep in reps]
+        len(index), [{index[m]: c for m, c in rep.items()} for rep in reps]
     )
     system_kernel = kernel_basis(
         QMatrix.from_rows(cochain_coefficient_system(split), cols=15)
@@ -201,7 +200,7 @@ def test_degree5_system_matches_differential_kernel(split):
 @pytest.mark.parametrize("split", splits(3))
 def test_engine_degree5_cocycles_have_dimension_five(split):
     stage, _, _ = build(algebra_from_split(*split), max_degree=3)
-    reps = stage_cohomology(stage, 5)
+    reps = sullivan._cohomology(stage, 5)
     # no degree-5 coboundaries at this stage
     assert sullivan._diff_data(stage, 4).bounds == set()
     assert len(reps) == 5
@@ -212,21 +211,21 @@ def test_engine_degree5_cocycles_have_dimension_five(split):
 
 def test_stage_cohomology_degree_zero():
     stage, _, _ = build(algebra_from_split(2, 0), max_degree=3)
-    reps = stage_cohomology(stage, 0)
+    reps = sullivan._cohomology(stage, 0)
     assert len(reps) == 1
-    assert reps[0].terms.get(()) == 1
+    assert reps[0].get(()) == 1
 
 
 def test_stage_cohomology_degree_six_at_rank_three():
     stage, _, _ = build(algebra_from_split(3, 0), max_degree=4)
-    assert len(stage_cohomology(stage, 6)) == 10
+    assert len(sullivan._cohomology(stage, 6)) == 10
 
 
 def test_stage_cohomology_matches_target_through_stage_degree():
     a = algebra_from_split(2, 1)
     stage, _, _ = build(a, max_degree=5)
     for i in range(0, 6):
-        assert len(stage_cohomology(stage, i)) == a.dim(i)
+        assert len(sullivan._cohomology(stage, i)) == a.dim(i)
 
 
 # ---------------------------------------------------------------------- build
@@ -245,7 +244,7 @@ def test_build_rank_one_differential_is_cube():
     cube = mul(gens, x, mul(gens, x, x))
     image = stage.diff.images[gens.index(v.name)]
     # dv spans the line through x^3 (the echelon basis normalizes the sign)
-    assert image == cube or image == -cube
+    assert image == cube.terms or image == (-cube).terms
 
 
 def test_build_rank_two_is_elliptic_through_degree_five():
@@ -263,11 +262,11 @@ def test_build_rank_zero_through_degree_seven():
     assert table.ranks == {2: 0, 3: 0, 4: 1, 5: 0, 6: 0, 7: 1}
     u = next(g for g in stage.gens if g.degree == 4)
     v = next(g for g in stage.gens if g.degree == 7)
-    assert stage.diff.images[stage.gens.index(u.name)].is_zero()
+    assert stage.diff.images[stage.gens.index(u.name)] == {}
     # the degree-7 generator kills the square of the degree-4 one
     gens = stage.gens
     up = gen(gens, u.name)
-    assert stage.diff.images[gens.index(v.name)] == mul(gens, up, up)
+    assert stage.diff.images[gens.index(v.name)] == mul(gens, up, up).terms
     # and the stage map sends u to the top class
     assert stage.qm.images[gens.index(u.name)] == {0: 1}
 
@@ -339,7 +338,7 @@ def test_verify_detects_broken_differential():
     gens = stage.gens
     w = next(g for g in gens if g.degree == 4)
     v = next(g for g in gens if g.degree == 3)
-    bad_image = mul(gens, gen(gens, "x1"), gen(gens, v.name))
+    bad_image = mul(gens, gen(gens, "x1"), gen(gens, v.name)).terms
     images = list(stage.diff.images)
     images[gens.index(w.name)] = bad_image
     broken = MinimalModelStage(
@@ -356,7 +355,7 @@ def test_verify_detects_linear_term():
     v = next(g for g in gens if g.degree == 3)
     w = next(g for g in gens if g.degree == 4)
     images = list(stage.diff.images)
-    images[gens.index(v.name)] = gen(gens, w.name)  # bare generator
+    images[gens.index(v.name)] = gen(gens, w.name).terms  # bare generator
     broken = MinimalModelStage(
         stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
     )
@@ -371,7 +370,7 @@ def test_verify_detects_chain_map_violation():
     v = next(g for g in gens if g.degree == 3)
     x1 = gen(gens, "x1")
     images = list(stage.diff.images)
-    images[gens.index(v.name)] = mul(gens, x1, x1)  # maps to V, not zero
+    images[gens.index(v.name)] = mul(gens, x1, x1).terms  # maps to V, not zero
     broken = MinimalModelStage(
         stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
     )
@@ -462,7 +461,10 @@ COEFFICIENT_CELLS = [(split, 5) for b2 in range(7) for split in splits(b2)] + [
 )
 def test_model_coefficients_are_ints_or_proper_fractions(split, max_degree):
     stage, _, _ = build(algebra_from_split(*split), max_degree)
-    differential = [c for p in stage.diff.images for c in p.terms.values()]
+    for g, image in zip(stage.gens, stage.diff.images):
+        assert isinstance(image, dict), g.name
+        assert all(stage.gens.monomial_degree(w) == g.degree + 1 for w in image), g.name
+    differential = [c for image in stage.diff.images for c in image.values()]
     rows = [
         x
         for data in stage._data.values()
@@ -552,7 +554,7 @@ def test_stage_map_rows_on_the_hypersurface_kill_step():
     # that the first extension step reads the stage map on.
     algebra = algebra_from_split(9, 44)
     stage = init_stage(algebra)
-    classes = [p.terms for p in stage_cohomology(stage, 4)]
+    classes = sullivan._cohomology(stage, 4)
     assert len(classes) == 53 * 54 // 2
     assert_rows_match_the_reference(stage.qm, algebra, 4, classes)
     rows = stage.qm.rows(algebra, 4, classes)
@@ -694,7 +696,7 @@ def test_kill_step_rows_vanish_on_the_coboundary_pivots(split, max_degree):
         stage, report = extend_stage(stage)
         if not report.new_kernel_generators:
             continue
-        z_rows = [p.terms for p in stage.diff.images[-report.new_kernel_generators:]]
+        z_rows = stage.diff.images[-report.new_kernel_generators:]
         assert not any(word in bounds for z in z_rows for word in z), f"step {k + 1}"
         leads = [min(z) for z in z_rows]
         assert len(set(leads)) == len(leads), f"step {k + 1}"
@@ -770,7 +772,7 @@ def _broken_stages():
         (gens.index(v.name), mul(gens, x1, x1)),
     ]:
         images = list(stage.diff.images)
-        images[i] = image
+        images[i] = image.terms
         yield MinimalModelStage(
             stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
         )
@@ -808,7 +810,7 @@ def _mutated_stages(seed):
                         m: F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
                         for m in rng.sample(words, min(len(words), 3))
                     })
-                images[i] = images[i] + shift
+                images[i] = add_scaled(dict(images[i]), 1, shift.terms)
             yield MinimalModelStage(
                 stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
             )
