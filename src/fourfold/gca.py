@@ -156,8 +156,13 @@ class GeneratorSet:
         return grown
 
     def monomial_degree(self, mono: Mono) -> int:
+        # A plain loop: a generator or map costs more than the short sum,
+        # and Derivation checks each appended image through this call.
         degs = self._degrees
-        return sum(degs[i] for i in mono)
+        degree = 0
+        for i in mono:
+            degree += degs[i]
+        return degree
 
 
 def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> int:
