@@ -19,9 +19,9 @@ Leibniz rule.  On a monomial m = x_0^e_0 ... x_n^e_n it is
 D(m) = sum_i e_i (-1)^(|x_i| |p_i|) d(x_i) * (m / x_i), where p_i is the part
 of m before x_i: the sign is negative exactly when x_i and p_i both have odd
 degree.  No two terms share a word, as t * (m / x_i) = t' * (m / x_j) with
-i != j needs t = x_i * s, |s| = 1; so `Derivation.rows`, which writes D of a
-word list straight into the rows that `linalg.kernel` eliminates, sets each
-entry once.
+i != j needs t = x_i * s, |s| = 1; so `Derivation.rows`, which writes D of
+word j of a list straight into column j of the rows that `linalg.kernel`
+eliminates, sets each entry once.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class GeneratorSet:
         self.generators = self._degrees = self._odd = ()
         self._index: dict = {}
         self._multiplicity: dict = {}  # degree -> number of generators of it
-        self._suffix_min = (_NO_DEGREE,)
         self._append(generators)
 
     def _append(self, more: Iterable) -> None:
@@ -107,15 +106,12 @@ class GeneratorSet:
         if len(index) != len(self._index) + len(gens):
             raise ValueError("generator names must be unique")
         degrees = tuple([g.degree for g in gens])
-        # The least degree from each position on: the new tail's, then the
-        # old entries, which never decrease, capped by the tail's least.
-        tail = (*reversed(list(accumulate(reversed(degrees), min))), _NO_DEGREE)
-        old = self._suffix_min[:-1]
-        cut = bisect_right(old, tail[0])
-        self._suffix_min = old[:cut] + (tail[0],) * (len(old) - cut) + tail
         self.generators += tuple(gens)
         self._index = index
         self._degrees += degrees
+        # The least degree from each position on, and none past the end.
+        least = list(accumulate(reversed(self._degrees), min))
+        self._suffix_min = (*reversed(least), _NO_DEGREE)
         self._odd += tuple([d % 2 == 1 for d in degrees])
         multiplicity = dict(self._multiplicity)
         for d in dict.fromkeys(degrees):
@@ -156,8 +152,7 @@ class GeneratorSet:
         return grown
 
     def monomial_degree(self, mono: Mono) -> int:
-        # A plain loop: a generator or map costs more than the short sum,
-        # and Derivation checks each appended image through this call.
+        # A plain loop: a generator or map costs more than the short sum.
         degs = self._degrees
         degree = 0
         for i in mono:
@@ -346,16 +341,21 @@ def mul(gens: GeneratorSet, a: Poly, b: Poly) -> Poly:
 
 def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[dict]) -> tuple:
     """`images` then `more`, one per generator of `gens`; only `more` is checked,
-    each nonzero image by the degree of one of its words."""
+    each image by the degree of every one of its words."""
     more = tuple(more)
     if len(images) + len(more) != len(gens):
         raise ValueError("one image per generator is required")
+    degs = gens._degrees
     for g, img in zip(gens.generators[len(images) :], more):
-        degree = gens.monomial_degree(next(iter(img))) if img else g.degree + 1
-        if degree != g.degree + 1:
-            raise DegreeMismatch(
-                f"image of {g.name} has degree {degree}, expected {g.degree + 1}"
-            )
+        expected = g.degree + 1
+        for word in img:
+            degree = 0
+            for i in word:  # monomial_degree inlined: this runs on every word
+                degree += degs[i]
+            if degree != expected:
+                raise DegreeMismatch(
+                    f"image of {g.name} has degree {degree}, expected {expected}"
+                )
     return images + more
 
 
@@ -392,14 +392,11 @@ class Derivation:
     def rows(self, words: Sequence[Mono]) -> dict:
         """D of a word list in one pass, as the rows `linalg.kernel` eliminates.
 
-        Maps each target word to {position: coefficient}, where word j of the
-        list sits at position len(words) - 1 - j.
+        Maps each target word to {j: its coefficient in D(words[j])}.
         """
         degs, odd, images = self.gens._degrees, self.gens._odd, self.images
         out: dict = {}
-        position = len(words)
-        for mono in words:
-            position -= 1
+        for position, mono in enumerate(words):
             prefix = k = 0
             while k < len(mono):  # one pass per run x_i^e, from k to end
                 i = mono[k]
@@ -425,10 +422,9 @@ class Derivation:
 
     def apply(self, poly: Poly) -> Poly:
         coeffs = list(poly.terms.values())
-        last = len(coeffs) - 1
         acc: dict = {}
         for target, row in self.rows(list(poly.terms)).items():
-            value = sum(coeffs[last - p] * x for p, x in row.items())
+            value = sum(coeffs[p] * x for p, x in row.items())
             if value:
                 acc[target] = value
         return Poly(acc, poly.degree + 1) if acc else Poly()

@@ -8,20 +8,19 @@ n x 0) are legal everywhere.
 
 Rows are sparse: dicts from a sortable key, a column index or a monomial
 word, to nonzero value.  One routine, `_eliminate`, reduces rows against
-echelon rows keyed by pivot, lowest first, then back-substitutes; rank,
-kernels and image pivots go through it, and membership
-(`Subspace.contains`) through its reduction step.  Reduced echelon bases
-are unique, so results depend only on the key order, never on the row
-order.  `kernel` is the one way into elimination.  It takes a map as the
-rows it eliminates, one per target coordinate, with the columns reversed
-(its docstring states that contract), and eliminates them once; the kernel
-vectors read off that form are in reduced echelon form in the original
-order, and the rows that survive name the pivots of the image, so the rank
-of a map is the size of that set.  Every map reaches it in that form:
-the differential from `gca.Derivation.rows`, the stage map from
-`sullivan.QuasiMorphism.rows`.  `add_scaled`, acc += c * row in
-place, is the one sparse accumulate outside elimination.  `QMatrix`, a dense
-matrix with a transpose and a product, is used by no other module; the
+echelon rows keyed by pivot, each led by its largest column, then
+back-substitutes; rank, kernels and image pivots go through it, and only
+this module knows which end of a row leads.  Reduced echelon bases are
+unique, so results depend only on the key order, never on the row order.
+`kernel` is the one way into elimination.  It takes a map as the rows it
+eliminates, one per target coordinate, with column j at key j, and
+eliminates them once; the kernel vectors read off that form are in reduced
+echelon form, and the rows that survive name the pivots of the image, so
+the rank of a map is the size of that set.  Every map reaches it in that
+form: the differential from `gca.Derivation.rows`, the stage map from
+`sullivan.QuasiMorphism.rows`.  `add_scaled`, acc += c * row in place, is
+the one sparse accumulate outside elimination.  `QMatrix`, a dense matrix
+with a transpose and a product, is used by no other module; the
 acceptance suite builds U^T S U with it.
 """
 
@@ -117,17 +116,18 @@ class QMatrix:
 
 
 def _reduce(v: dict, held: dict) -> dict:
-    """Clear, in place, the columns of `v` that are pivots of `held`.
+    """Clear, in place, the int columns of `v` that are pivots of `held`.
 
-    `held` maps each pivot to a row whose smallest column it is, with entry
-    1 there; so a subtraction only creates entries right of its pivot.
+    `held` maps each pivot to a row whose largest column it is, with entry
+    1 there; so a subtraction only creates entries left of its pivot, and a
+    min-heap of negated columns clears the pivots from the largest down.
     """
-    heap = [c for c in v if c in held]
+    heap = [-c for c in v if c in held]
     if not heap:
         return v
     heapify(heap)
     while heap:
-        p = heappop(heap)
+        p = -heappop(heap)
         f = v.pop(p, None)
         if f is None:  # pushed twice, or cancelled on the way
             continue
@@ -139,7 +139,7 @@ def _reduce(v: dict, held: dict) -> dict:
             if old is None:
                 v[j] = f * x
                 if j in held:
-                    heappush(heap, j)
+                    heappush(heap, -j)
             else:
                 new = old + f * x
                 if new:
@@ -153,10 +153,10 @@ def _eliminate(rows: Iterable[dict]) -> dict:
     """Reduced echelon basis of the span of `rows`, keyed by ascending pivot.
 
     Consumes `rows`, fresh sparse dicts, in place and in order: each is
-    reduced against the pivot rows kept so far, and its nonzero remainder is
-    kept as a new pivot row, which is the same dict as the row given.  So a
+    reduced against the pivot rows kept so far, and its nonzero remainder,
+    the same dict, is kept as the pivot row of its largest column.  So a
     row given is left `{}` exactly when it depends on the rows before it.
-    The kept rows are then back-substituted, highest pivot first, and put in
+    The kept rows are then back-substituted, lowest pivot first, and put in
     the form of `exact`.  A pivot of 1 or -1 keeps integer rows integral; any
     other is divided out as a Fraction, the only division of the engine.
     """
@@ -164,7 +164,7 @@ def _eliminate(rows: Iterable[dict]) -> dict:
     for v in rows:
         _reduce(v, held)
         if v:
-            lead = min(v)
+            lead = max(v)
             pivot = v[lead]
             if pivot == -1:
                 for j, x in v.items():
@@ -176,7 +176,7 @@ def _eliminate(rows: Iterable[dict]) -> dict:
             held[lead] = v
     pivots = sorted(held)
     done: dict = {}
-    for p in reversed(pivots):
+    for p in pivots:
         row = done[p] = _reduce(held[p], done)
         for j, x in row.items():
             if type(x) is not int:
@@ -215,36 +215,38 @@ class Subspace:
         return f"Subspace({self.ambient_dim}, {self.rows!r})"
 
     def contains(self, vector: dict) -> bool:
-        """Whether the sparse row `vector` lies in the subspace."""
-        return not _reduce(dict(vector), self.rows)
+        """Whether the sparse row `vector` lies in the subspace: the rows vanish
+        at each other's pivots, so it must be the sum of vector[p] * row p."""
+        rest = dict(vector)
+        for p, x in vector.items():
+            if p in self.rows:
+                add_scaled(rest, -x, self.rows[p])
+        return not rest
 
 
 def kernel(rows: dict, keys: Sequence) -> tuple[Subspace, frozenset]:
     """Kernel of a map given by its rows, keyed by `keys`, and the pivots of
     its image.
 
-    The rows contract, the one statement of the position convention:
-    `rows` maps each sortable coordinate of the target to a fresh sparse row
-    of nonzero entries, in which column j of the map, the image of basis
-    vector `keys[j]`, sits at position len(keys) - 1 - j.  `gca.Derivation.rows`
+    Column j at key j: `rows` maps each sortable coordinate of the target
+    to a fresh sparse row of nonzero entries, in which entry j is that
+    coordinate of the image of basis vector `keys[j]`.  `gca.Derivation.rows`
     assembles a differential in this form and `sullivan.QuasiMorphism.rows`
     the stage map.  The rows, taken in sorted order of their coordinates,
-    are consumed in place by one `_eliminate` to R.  A free
-    column f' of R gives e_f' - sum_p' R[p'][f'] e_p', nonzero only at f' and
-    pivots p' < f'; in the original order it leads with 1 at a free column and
-    vanishes at every other one: the kernel's reduced echelon basis, its rows
-    keyed by `keys` (which ascend).  The row of a coordinate survives exactly
-    when it is independent of the rows before it, the rule for a pivot of the
-    image's reduced echelon basis: those coordinates are the second value.
+    are consumed in place by one `_eliminate` to R.  A free column f of R
+    gives e_f - sum_p R[p][f] e_p, nonzero only at f and pivots p > f: it
+    leads with 1 at a free column and vanishes at every other one, the
+    kernel's reduced echelon basis, its rows keyed by `keys` (which ascend).
+    The row of a coordinate survives exactly when it is independent of the
+    rows before it, the rule for a pivot of the image's reduced echelon
+    basis: those coordinates are the second value.
     """
-    last = len(keys) - 1
     targets = sorted(rows)
     reduced = _eliminate([rows[t] for t in targets])
-    vectors = {key: {key: 1} for j, key in enumerate(keys) if last - j not in reduced}
+    vectors = {key: {key: 1} for j, key in enumerate(keys) if j not in reduced}
     for p, row in reduced.items():
-        lead = keys[last - p]
+        lead = keys[p]
         for f, x in row.items():
             if f != p:
-                vectors[keys[last - f]][lead] = -x
+                vectors[keys[f]][lead] = -x
     return Subspace(len(keys), vectors), frozenset(t for t in targets if rows[t])
-

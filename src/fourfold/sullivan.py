@@ -119,18 +119,16 @@ class QuasiMorphism:
         """The map on degree-`degree` cochains given by word-keyed `vectors`,
         as the rows `linalg.kernel` eliminates.
 
-        Maps each target coordinate to {position: coefficient}, where vector
-        j of the list sits at position len(vectors) - 1 - j; each word is
-        mapped once, entries that cancel are dropped, and so are empty rows.
-        Where A vanishes the map is zero and there are no rows.
+        Maps each target coordinate to {j: that coordinate of the image of
+        vectors[j]}; each word is mapped once, entries that cancel are
+        dropped, and so are empty rows.  Where A vanishes the map is zero and
+        there are no rows.
         """
         out: dict = {}
         if not algebra.dim(degree):
             return out
         images: dict = {}
-        position = len(vectors)
-        for vector in vectors:
-            position -= 1
+        for position, vector in enumerate(vectors):
             for word, c in vector.items():
                 image = images.get(word)
                 if image is None:

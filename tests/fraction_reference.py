@@ -120,12 +120,11 @@ def column_kernel(columns) -> tuple[Subspace, frozenset]:
     Each column is a sparse dict keyed by any sortable coordinate of the
     target; its zero entries are left out of the rows.
     """
-    last = len(columns) - 1
     rows: dict = {}
     for j, column in enumerate(columns):
         for key, x in column.items():
             if x:
-                rows.setdefault(key, {})[last - j] = x
+                rows.setdefault(key, {})[j] = x
     return kernel(rows, range(len(columns)))
 
 

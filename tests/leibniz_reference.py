@@ -39,9 +39,9 @@ def apply_mono(deriv: Derivation, mono: Mono) -> dict:
 
 def split_rows(rows: dict, count: int) -> list:
     """The columns, D of each of `count` words as a dict keyed by word, of
-    rows in `linalg.kernel`'s convention: word j sits at position count-1-j."""
+    rows in `linalg.kernel`'s convention: word j sits at key j."""
     columns = [{} for _ in range(count)]
     for target, row in rows.items():
-        for position, c in row.items():
-            columns[count - 1 - position][target] = c
+        for j, c in row.items():
+            columns[j][target] = c
     return columns

@@ -1,7 +1,9 @@
 import math
 import random
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -348,8 +350,8 @@ def test_columns_cover_collisions_cubes_and_cancellation():
     words = [(1, 3), (0, 4), (0, 1, 3), (1, 2), (0, 0, 3, 3)]
     cols = leibniz_reference.split_rows(d.rows(words), len(words))
     assert cols == [leibniz_reference.apply_mono(d, m) for m in words]
-    # word j of the list sits at position len(words) - 1 - j of each row
-    assert d.rows(words[:2]) == {(0, 0, 3): {1: 1}, (0, 0, 0, 0): {0: 1}}
+    # word j of the list sits at key j of each row
+    assert d.rows(words[:2]) == {(0, 0, 3): {0: 1}, (0, 0, 0, 0): {1: 1}}
     # D(aw) = da*w - a*dw, and a*x*a vanishes
     assert cols[0] == {(0, 0, 3): 1}
     assert cols[1] == {(0, 0, 0, 0): 1}
@@ -364,6 +366,18 @@ def test_derivation_image_degree_is_checked():
     x = gen(gens, "x")
     with pytest.raises(DegreeMismatch):
         Derivation(gens, [{}, mul(gens, x, x).terms])
+
+
+def test_every_word_of_an_image_is_checked():
+    # x^2 has the expected degree 4 and u the wrong degree 3, in either order
+    closed = GeneratorSet([("x", 2), ("y", 2)])
+    gens = closed.extended([("u", 3)])
+    for image in ({(0, 0): 1, (2,): 1}, {(2,): 1, (0, 0): 1}):
+        with pytest.raises(DegreeMismatch, match="image of u has degree 3, expected 4"):
+            Derivation(gens, [{}, {}, image])
+        with pytest.raises(DegreeMismatch, match="image of u has degree 3, expected 4"):
+            Derivation(closed, [{}, {}]).extended(gens, [image])
+    assert Derivation(gens, [{}, {}, {(0, 0): 1, (0, 1): -2}]).images[2] == {(0, 0): 1, (0, 1): -2}
 
 
 def test_extended_checks_what_it_appends():
@@ -398,8 +412,16 @@ def test_extended_sets_match_sets_built_at_once():
         fresh = GeneratorSet(named)
         for field in GeneratorSet.__slots__:
             assert getattr(grown, field) == getattr(fresh, field), field
+        # Every ascending word of up to 5 letters, odd letters at most once,
+        # by its degree: all the words of degree <= 11, as generators have
+        # degree >= 2.
+        words = defaultdict(list)
+        for length in range(6):
+            for word in combinations_with_replacement(range(len(degrees)), length):
+                if all(word.count(i) == 1 for i in word if degrees[i] % 2):
+                    words[sum(degrees[i] for i in word)].append(word)
         for degree in range(12):
-            assert basis(grown, degree) == basis(fresh, degree)
+            assert basis(grown, degree) == sorted(words[degree])
 
 
 def test_quadratic_relations_kernel_dimension():

@@ -567,9 +567,7 @@ def differential_rows(b2, max_degree, degree):
     stage, _, _ = build(algebra_from_split(b2, 0), max_degree)
     blist = basis(stage.gens, degree)
     index = {m: i for i, m in enumerate(basis(stage.gens, degree + 1))}
-    last = len(blist) - 1
-    rowmap = {index[mono]: {last - p: c for p, c in row.items()}
-              for mono, row in stage.diff.rows(blist).items()}
+    rowmap = {index[mono]: row for mono, row in stage.diff.rows(blist).items()}
     return [rowmap[i] for i in sorted(rowmap)], len(blist)
 
 
@@ -634,8 +632,8 @@ def test_kernel_of_degenerate_columns():
 
 
 def test_kernel_keys_its_vectors_by_the_domain_keys():
-    # `kernel` takes rows with column j at position len(keys) - 1 - j and
-    # keys the kernel by `keys`; `column_kernel` keys it by column index
+    # `kernel` takes rows with column j at key j and keys the kernel by
+    # `keys`; `column_kernel` keys it by column index
     rng = random.Random("kernel-keys")
     for _ in range(60):
         ncols = rng.randint(0, 8)
@@ -647,7 +645,7 @@ def test_kernel_keys_its_vectors_by_the_domain_keys():
         rows = {}
         for j, column in enumerate(columns):
             for t, x in column.items():
-                rows.setdefault(t, {})[ncols - 1 - j] = x
+                rows.setdefault(t, {})[j] = x
         by_index, pivots = column_kernel(columns)
         null, image = kernel(rows, keys)
         assert image == pivots
@@ -658,9 +656,40 @@ def test_kernel_keys_its_vectors_by_the_domain_keys():
     assert kernel({}, []) == (Subspace(0, {}), set())
     assert kernel({}, ["u", "v"]) == (Subspace(2, {"u": {"u": 1}, "v": {"v": 1}}), set())
     # u -> a, v -> a + b, w -> b: w = v - u
-    null, image = kernel({"a": {2: 1, 1: 1}, "b": {1: 1, 0: 1}}, ["u", "v", "w"])
+    null, image = kernel({"a": {0: 1, 1: 1}, "b": {1: 1, 2: 1}}, ["u", "v", "w"])
     assert null == Subspace(3, {"u": {"u": 1, "v": -1, "w": 1}})
     assert image == {"a", "b"}
+
+
+def test_clearing_a_pivot_can_create_an_entry_at_a_smaller_one():
+    # Rows a, b, c in that order: a leads at column 2 and b at 1; c = {2: 2,
+    # 3: 1} loses column 2 to a, which leaves -2 at pivot 1, and clearing
+    # that by b leaves 2 at column 0: c keeps {3: 1, 0: 2}, led by 3.
+    def rows():
+        return {"a": {1: 1, 2: 1}, "b": {0: 1, 1: 1}, "c": {2: 2, 3: 1}}
+
+    columns = [{"b": 1}, {"a": 1, "b": 1}, {"a": 1, "c": 2}, {"c": 1}]
+    null, image = kernel(rows(), ["w", "x", "y", "z"])
+    assert null == Subspace(4, {"w": {"w": 1, "x": -1, "y": 1, "z": -2}})
+    assert image == {"a", "b", "c"}
+    by_index, pivots = column_kernel(columns)
+    assert by_index == kernel(rows(), range(4))[0] and pivots == image
+    dense_rows = [[column.get(t, 0) for column in columns] for t in "abc"]
+    assert dense(by_index) == tuple(ref_kernel(dense_rows, 4))
+
+
+def test_membership_on_word_keyed_reduced_rows():
+    # A reduced basis keyed by words: each row is 1 at its pivot word and 0
+    # at the other's.
+    sub = Subspace(4, {(0, 0): {(0, 0): 1, (1, 1): 2}, (0, 1): {(0, 1): 1, (1, 1): F(-1, 2)}})
+    member = {(0, 0): 3, (0, 1): F(2, 3), (1, 1): F(17, 3)}  # 3 * first + 2/3 * second
+    outside = {(0, 0): 1, (1, 1): 1}
+    no_pivot = {(1, 1): 1, (2, 2): -1}
+    for vector, expected in [(member, True), (outside, False), (no_pivot, False), ({}, True)]:
+        before = dict(vector)
+        assert sub.contains(vector) is expected
+        assert vector == before  # the row is left as it was
+    assert not Subspace(4, {}).contains(no_pivot)
 
 
 def test_kernel_eliminates_once(monkeypatch):

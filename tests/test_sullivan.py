@@ -499,11 +499,10 @@ def reference_image(qm, algebra, degree, vector):
 def assert_rows_match_the_reference(qm, algebra, degree, vectors):
     images = [reference_image(qm, algebra, degree, v) for v in vectors]
     rows = qm.rows(algebra, degree, vectors)
-    last = len(vectors) - 1
     expected = {}
     for j, image in enumerate(images):
         for t, x in image.items():
-            expected.setdefault(t, {})[last - j] = x
+            expected.setdefault(t, {})[j] = x
     assert rows == expected
     assert all(row and all(row.values()) for row in rows.values())
     assert linalg.kernel(rows, range(len(vectors))) == column_kernel(images)
@@ -547,6 +546,28 @@ def test_stage_map_rows_match_the_per_vector_route():
             assert_rows_match_the_reference(qm, algebra, degree, vectors)
         # where A vanishes the map has no rows
         assert qm.rows(algebra, 6, [{(0, 0, 0): 1}] if n2 else []) == {}
+
+
+def test_rows_put_item_j_at_key_j():
+    # The rows of a list are the rows of each item alone, moved to its index.
+    stage, _, _ = build(algebra_from_split(2, 1), 5)
+
+    def merged(one, items):
+        out = {}
+        for j, item in enumerate(items):
+            for t, row in one(item).items():
+                assert set(row) == {0}
+                out.setdefault(t, {})[j] = row[0]
+        return out
+
+    words = basis(stage.gens, 5)
+    assert len(stage.diff.rows(words)) > 1
+    assert stage.diff.rows(words) == merged(lambda w: stage.diff.rows([w]), words)
+    start = init_stage(stage.algebra)  # its kill step reads all six degree-4 words
+    classes = sullivan._cohomology(start, 4)
+    assert len(classes) == 6
+    rows = start.qm.rows(start.algebra, 4, classes)
+    assert rows == merged(lambda v: start.qm.rows(start.algebra, 4, [v]), classes)
 
 
 def test_stage_map_rows_on_the_hypersurface_kill_step():
