@@ -227,14 +227,6 @@ def cmd_ranks(args) -> int:
 # ------------------------------------------------------------------- model
 
 
-def _json_block(brackets: str, items: list, depth: int) -> str:
-    """`items` in `brackets` at nesting `depth`, laid out as `json.dumps(indent=2)` does."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
-
-
 # The layout `json.dumps(indent=2)` gives a generator (depth 2), a term of its
 # differential (depth 4) and an [name, exponent] factor of a monomial (depth 6).
 _GENERATOR = (
@@ -277,9 +269,9 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> It
         yield _GENERATOR % (sep, g.degree, differential, names[i])
         sep, close = ",\n", "\n  ]"
     ranks = {str(r): v for r, v in table.ranks.items()}
-    meta_text, ranks_text = (
-        _json_block("{}", [f"{json.dumps(k)}: {v}" for k, v in sorted(doc.items())], 1)
-        for doc in (meta, ranks)  # flat dicts of ints
+    meta_text, ranks_text = (  # flat, never empty; without `indent` the C encoder runs
+        "{\n    %s\n  }" % json.dumps(doc, sort_keys=True, separators=(",\n    ", ": "))[1:-1]
+        for doc in (meta, ranks)
     )
     yield f'{close},\n  "meta": {meta_text},\n  "ranks": {ranks_text}\n}}'
 

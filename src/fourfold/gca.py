@@ -4,8 +4,9 @@ Generators all have degree >= 2.  A monomial is its word of generator
 indices in ascending order, one entry per factor: x1^2*x5 is (0, 0, 4) and
 the unit is ().  Indices never move, so values built at one stage stay valid
 after more generators are appended.  Odd-degree generators square to zero,
-so an odd index appears at most once; the sign of a product counts the
-crossings of odd factors when the two words are merged.
+so an odd index appears at most once; `GeneratorSet.monomial_degree` owns this
+word rule, for `Poly` and `Derivation` alike.  The sign of a product counts
+the crossings of odd factors when the two words are merged.
 
 The monomial basis of a fixed degree is enumerated in lexicographic order of
 words: higher powers of earlier generators come first (x1^2, x1*x2, x2^2).
@@ -95,12 +96,12 @@ class GeneratorSet:
         """Append `more` while the set is being made, checking only them."""
         gens = []
         for g in more:
-            if not isinstance(g, Generator):
-                name, degree = g
-                g = Generator(str(name), int(degree))
-            if g.degree < 2:
-                raise ValueError(f"generator {g.name} has degree {g.degree} < 2")
-            gens.append(g)
+            name, degree = g
+            if type(name) is not str or type(degree) is not int:  # so no bool degree
+                raise ValueError(f"a generator is a (str, int) pair, got {g!r}")
+            if degree < 2:
+                raise ValueError(f"generator {name} has degree {degree} < 2")
+            gens.append(g if isinstance(g, Generator) else Generator(name, degree))
         index = dict(self._index)
         index.update(zip([g.name for g in gens], range(len(index), len(index) + len(gens))))
         if len(index) != len(self._index) + len(gens):
@@ -152,12 +153,25 @@ class GeneratorSet:
         return grown
 
     def monomial_degree(self, mono: Mono) -> int:
-        # A plain loop: a generator or map costs more than the short sum.
-        degs = self._degrees
-        degree = 0
-        for i in mono:
-            degree += degs[i]
-        return degree
+        """The degree of a word, under the one word rule that `Poly` and `Derivation`
+        apply: ValueError unless each index is in 0..len-1 (so none is negative),
+        the letters ascend and each odd letter appears at most once."""
+        degs, odd = self._degrees, self._odd
+        if mono and (mono[0] < 0 or mono[-1] >= len(degs)):
+            i = mono[0] if mono[0] < 0 else mono[-1]
+            raise ValueError(f"monomial {mono}: index {i} is out of range")
+        degree, prev = 0, -1
+        try:  # a plain loop, as a generator or map costs more than the short sum
+            for i in mono:
+                if i <= prev and (i < prev or odd[i]):
+                    break
+                degree += degs[i]
+                prev = i
+            else:
+                return degree
+        except IndexError:  # a letter above the last one: the word descends
+            pass
+        raise ValueError(f"monomial {mono}: indices must ascend, odd ones once")
 
 
 def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> int:
@@ -262,13 +276,6 @@ class Poly:
             coeff = exact(coeff)
             if not coeff:
                 continue
-            prev = -1
-            for i in mono:
-                if not 0 <= i < len(gens):
-                    raise ValueError(f"monomial {mono}: index {i} is out of range")
-                if i < prev or (i == prev and gens._odd[i]):
-                    raise ValueError(f"monomial {mono}: indices must ascend, odd ones once")
-                prev = i
             d = gens.monomial_degree(mono)
             if degree is None:
                 degree = d
@@ -340,32 +347,31 @@ def mul(gens: GeneratorSet, a: Poly, b: Poly) -> Poly:
 
 
 def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[dict]) -> tuple:
-    """`images` then `more`, one per generator of `gens`; only `more` is checked,
-    each image by the degree of every one of its words."""
+    """`images` then `more`, one per generator of `gens`; only `more` is checked."""
     more = tuple(more)
     if len(images) + len(more) != len(gens):
         raise ValueError("one image per generator is required")
-    degs = gens._degrees
+    word_degree = gens.monomial_degree
     for g, img in zip(gens.generators[len(images) :], more):
         expected = g.degree + 1
         for word in img:
-            degree = 0
-            for i in word:  # monomial_degree inlined: this runs on every word
-                degree += degs[i]
+            degree = word_degree(word)
             if degree != expected:
                 raise DegreeMismatch(
                     f"image of {g.name} has degree {degree}, expected {expected}"
                 )
+        if 0 in img.values():
+            raise ValueError(f"image of {g.name} has a zero coefficient")
     return images + more
 
 
 class Derivation:
     """Degree +1 derivation of the free algebra, given by generator images.
 
-    Each image is a word dict {word: coeff}, homogeneous of degree one above
-    its generator, and {} for a closed generator.  The extension to the
-    whole algebra follows the graded Leibniz rule
-    D(ab) = D(a) b + (-1)^{|a|} a D(b).
+    Each image is a word dict {word: nonzero coeff} of degree one above its
+    generator, {} for a closed one, and each word passes the one word rule,
+    `GeneratorSet.monomial_degree`.  The graded Leibniz rule
+    D(ab) = D(a) b + (-1)^{|a|} a D(b) extends it to the whole algebra.
     """
 
     __slots__ = ("gens", "images")

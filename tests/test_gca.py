@@ -300,22 +300,29 @@ def test_poly_rejects_inhomogeneous_terms():
 def test_poly_rejects_unsorted_word():
     gens = GeneratorSet([("x", 2), ("y", 2)])
     assert Poly.from_terms(gens, {(0, 1): 1}).degree == 4
-    with pytest.raises(ValueError, match="must ascend"):
-        Poly.from_terms(gens, {(1, 0): 1})
+    # (0, 5, 1): first and last in range, the middle letter above the last
+    for word in [(1, 0), (0, 5, 1), (0, -1, 1)]:
+        with pytest.raises(ValueError, match="must ascend"):
+            Poly.from_terms(gens, {word: 1})
 
 
 def test_poly_rejects_repeated_odd_index():
     gens = GeneratorSet([("x", 2), ("v", 3)])
     assert Poly.from_terms(gens, {(0, 0, 1): 1}).degree == 7
-    with pytest.raises(ValueError, match="odd ones once"):
-        Poly.from_terms(gens, {(1, 1): 1})  # v^2
+    for word in [(1, 1), (0, 1, 1)]:  # v^2, x*v^2
+        with pytest.raises(ValueError, match="odd ones once"):
+            Poly.from_terms(gens, {word: 1})
 
 
-@pytest.mark.parametrize("index", [2, -1])
+@pytest.mark.parametrize("index", [2, -1, -2, 7])
 def test_poly_rejects_out_of_range_index(index):
     gens = GeneratorSet([("x", 2), ("v", 3)])
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=f"index {index} is out of range"):
         Poly.from_terms(gens, {(index,): 1})
+    with pytest.raises(ValueError, match=f"index {index} is out of range"):
+        Poly.from_terms(gens, {(0, index) if index > 0 else (index, 0): 1})
+    # a zero term is dropped before its word is checked
+    assert Poly.from_terms(gens, {(index,): 0, (0,): 1}) == Poly({(0,): 1}, 2)
 
 
 # ---------------------------------------------------------------- derivations
@@ -378,6 +385,23 @@ def test_every_word_of_an_image_is_checked():
         with pytest.raises(DegreeMismatch, match="image of u has degree 3, expected 4"):
             Derivation(closed, [{}, {}]).extended(gens, [image])
     assert Derivation(gens, [{}, {}, {(0, 0): 1, (0, 1): -2}]).images[2] == {(0, 0): 1, (0, 1): -2}
+    # Words of the expected degree that break the word rule, and a zero
+    # coefficient: each image belongs to a generator w appended to x and y.
+    closed = GeneratorSet([("x", 2), ("y", 3)])
+    with pytest.raises(ValueError, match="index -1 is out of range"):  # -1 would read y
+        Derivation(closed, [{(-1,): 1}, {}])
+    for degree, image, message in [
+        (2, {(-2,): 1}, "index -2 is out of range"),  # -2 would read y
+        (4, {(1, 0): 1}, "indices must ascend"),
+        (5, {(1, 1): 1}, "odd ones once"),  # y^2
+        (4, {(0, -2): 1}, "indices must ascend"),
+        (3, {(0, 0): 0}, "image of w has a zero coefficient"),
+    ]:
+        gens = closed.extended([("w", degree)])
+        with pytest.raises(ValueError, match=message):
+            Derivation(gens, [{}, {}, image])
+        with pytest.raises(ValueError, match=message):
+            Derivation(closed, [{}, {}]).extended(gens, [image])
 
 
 def test_extended_checks_what_it_appends():
@@ -391,6 +415,11 @@ def test_extended_checks_what_it_appends():
         gens.extended([("w", 3), ("w", 3)])
     with pytest.raises(ValueError, match="degree 1 < 2"):
         gens.extended([("t", 1)])
+    for pair in [("t", 2.9), ("t", "3"), ("t", True), (3, 2)]:
+        with pytest.raises(ValueError, match=r"a generator is a \(str, int\) pair"):
+            GeneratorSet([pair])
+        with pytest.raises(ValueError, match=r"a generator is a \(str, int\) pair"):
+            gens.extended([pair])
     grown = gens.extended([("w", 3), ("y", 2)])
     assert gens == GeneratorSet([("x", 2), ("u", 5)])  # left as it was
     with pytest.raises(DegreeMismatch, match="image of w has degree 6, expected 4"):
