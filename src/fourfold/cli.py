@@ -26,6 +26,7 @@ import re
 import sys
 from functools import cache
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from . import forms
@@ -227,15 +228,8 @@ def cmd_ranks(args) -> int:
 # ------------------------------------------------------------------- model
 
 
-# The layout `json.dumps(indent=2)` gives a generator (depth 2), a term of its
-# differential (depth 4) and an [name, exponent] factor of a monomial (depth 6).
-_GENERATOR = (
-    '%s    {\n      "degree": %d,\n      "differential": %s,\n      "name": %s\n    }'
-)
-_TERM = (
-    '\n        {\n          "coeff": "%s",\n          "monomial": [\n'
-    '            %s\n          ]\n        }'
-)
+# The layout `json.dumps(indent=2)` gives an [name, exponent] factor of a
+# monomial (depth 6), and the separator between two factors.
 _FACTOR = "[\n              %s,\n              %d\n            ]"
 _FACTOR_SEP = ",\n            "
 
@@ -245,28 +239,37 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> It
 
     Yields one piece per generator, so the whole document is never held in
     memory.  Rendered directly, since with `indent` set `json` falls back to
-    its pure-Python encoder.  Each letter's exponent-1 factor is rendered
-    once; a square-free word's factor list joins those, and any other word's
-    goes through `groupby`.  A coefficient is an int or a Fraction
-    (`linalg.exact`), whose text holds only digits, "-" and "/", so it needs
-    no escaping; names go through `json.dumps` (the C string encoder).
+    its pure-Python encoder.  Each term of a differential (depth 4) is one
+    f-string over that layout, and so is each generator (depth 2).  A
+    square-free word's factor list joins the exponent-1 factors of its
+    letters, rendered once per call; any other word's goes through `groupby`.
+    A coefficient is an int or a Fraction (`linalg.exact`), whose text holds
+    only digits, "-" and "/", so it needs no escaping; names go through
+    `encode_basestring_ascii`, the C routine `json.dumps` calls for a string.
     """
-    names = [json.dumps(g.name) for g in stage.gens]
+    names = [encode_basestring_ascii(g.name) for g in stage.gens]
     letters = [_FACTOR % (name, 1) for name in names]  # each letter to the power 1
     yield '{\n  "generators": ['
     sep, close = "\n", "]"
-    for i, g in enumerate(stage.gens):
+    for g, name, image in zip(stage.gens, names, stage.diff.images):
         terms = []
-        for mono, coeff in sorted(stage.diff.images[i].items()):
+        for mono in sorted(image):
+            coeff = image[mono]
             if len(set(mono)) == len(mono):
                 factors = _FACTOR_SEP.join([letters[j] for j in mono])
             else:
                 factors = _FACTOR_SEP.join(
                     [_FACTOR % (names[j], len(list(run))) for j, run in groupby(mono)]
                 )
-            terms.append(_TERM % (coeff, factors))
-        differential = "[" + ",".join(terms) + "\n      ]" if terms else "[]"
-        yield _GENERATOR % (sep, g.degree, differential, names[i])
+            terms.append(
+                f'\n        {{\n          "coeff": "{coeff!s}",\n          "monomial": [\n'
+                f"            {factors}\n          ]\n        }}"
+            )
+        differential = f'[{",".join(terms)}\n      ]' if terms else "[]"
+        yield (
+            f'{sep}    {{\n      "degree": {g.degree},\n      "differential": {differential},'
+            f'\n      "name": {name}\n    }}'
+        )
         sep, close = ",\n", "\n  ]"
     ranks = {str(r): v for r, v in table.ranks.items()}
     meta_text, ranks_text = (  # flat, never empty; without `indent` the C encoder runs
@@ -282,9 +285,10 @@ def cmd_model(args) -> int:
     stage, table, _ = build(algebra, args.max_degree, guard=args.guard)
     meta = _meta(algebra, args.max_degree)
     if args.format == "json":
-        for piece in model_document(stage, table, meta):
-            print(piece, end="")  # print, not sys.stdout: it may be None (stdout closed)
-        print()
+        out = sys.stdout
+        if out is not None:  # None when started with stdout closed: nothing to write
+            out.writelines(model_document(stage, table, meta))  # one write per piece
+            out.write("\n")
     else:
         print(
             f"minimal model of {label} (split {algebra.b2_plus},{algebra.b2_minus}, "

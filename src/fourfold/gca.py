@@ -398,9 +398,16 @@ class Derivation:
     def rows(self, words: Sequence[Mono]) -> dict:
         """D of a word list in one pass, as the rows `linalg.kernel` eliminates.
 
-        Maps each target word to {j: its coefficient in D(words[j])}.
+        Maps each target word to {j: its coefficient in D(words[j])}.  A zero
+        derivation returns {} without reading the words.  Each generator's
+        image is prepared once per call, as (word, coefficient, odd letters)
+        terms, and the odd letters of the rest of a word are listed only when
+        a term has one.
         """
         degs, odd, images = self.gens._degrees, self.gens._odd, self.images
+        if not any(images):
+            return {}
+        prepared: list = [None] * len(images)
         out: dict = {}
         for position, mono in enumerate(words):
             prefix = k = 0
@@ -409,13 +416,22 @@ class Derivation:
                 end = k + 1
                 while end < len(mono) and mono[end] == i:
                     end += 1
-                if images[i]:
+                terms = prepared[i]
+                if terms is None:
+                    terms = prepared[i] = [
+                        (t, c, [j for j in t if odd[j]]) for t, c in images[i].items()
+                    ]
+                if terms:
                     rest = mono[:k] + mono[k + 1 :]
-                    rest_odd = [j for j in rest if odd[j]]
+                    rest_odd = None
                     outer = k - end if prefix & degs[i] & 1 else end - k
-                    for t, c in images[i].items():
-                        t_odd = rest_odd and [j for j in t if odd[j]]
-                        s = outer * _koszul_sign(t_odd, rest_odd) if t_odd else outer
+                    for t, c, t_odd in terms:
+                        if not t_odd:
+                            s = outer
+                        else:
+                            if rest_odd is None:
+                                rest_odd = [j for j in rest if odd[j]]
+                            s = outer * _koszul_sign(t_odd, rest_odd) if rest_odd else outer
                         if s:
                             target = tuple(sorted(t + rest)) if rest else t
                             row = out.get(target)

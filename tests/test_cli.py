@@ -336,8 +336,9 @@ def test_model_json_matches_the_reference_on_hand_built_words():
 
 
 def test_model_json_streams_in_less_memory_than_it_prints():
-    # One generator's piece at a time, plus each letter's factor rendered
-    # once: the whole text is never held.
+    # One generator's piece at a time, plus each letter's exponent-1 factor,
+    # rendered once per call and kept for it: the whole text is never held,
+    # and nothing is kept per word.
     stage, table, _ = build(algebra_from_split(1, 2), 8)
     meta = cli._meta(stage.algebra, 8)
     tracemalloc.start()

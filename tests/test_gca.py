@@ -329,11 +329,15 @@ def test_poly_rejects_out_of_range_index(index):
 
 
 def test_zero_derivation_gives_zero_matrices():
+    class Unread(list):  # a zero derivation returns {} without reading its words
+        def __iter__(self):
+            raise AssertionError("the words of a zero derivation were read")
+
     gens = two_vars()
     d = Derivation(gens, [{}, {}])
     for n in range(0, 7):
         words = basis(gens, n)
-        assert d.rows(words) == {}
+        assert d.rows(Unread(words)) == {}
 
 
 def test_single_relation_model_matrix():
@@ -366,6 +370,30 @@ def test_columns_cover_collisions_cubes_and_cancellation():
     assert d.rows([]) == {}
     assert d.apply(mul(gens, x, a) - mul(gens, x, b)).is_zero()  # x^3 - x^3
     assert d.apply(mul(gens, a, w)) == Poly(cols[0], 8)
+
+
+def test_image_terms_with_an_odd_letter_take_each_sign_branch():
+    # a and b odd, x even; du = x*b, dc = x^3 - a*b and de = a*c carry odd
+    # letters, and dc lists its even term first.  A word's rest (the word less
+    # the letter differentiated) may hold no odd letter, one below the term's,
+    # one above it, or the term's own, which kills the term.
+    gens = GeneratorSet([("a", 3), ("x", 2), ("b", 3), ("u", 4), ("c", 5), ("e", 7)])
+    images = [{}, {}, {(1, 1): 1}, {(1, 2): 1}, {(1, 1, 1): 1, (0, 2): -1}, {(0, 4): 1}]
+    d = Derivation(gens, images)
+    expected = {
+        (1, 3): {(1, 1, 2): 1},  # x*du: no odd letter in the rest
+        (0, 3): {(0, 1, 2): -1},  # a*du: a below b, one crossing
+        (3, 4): {(1, 2, 4): 1, (1, 1, 1, 3): 1, (0, 2, 3): -1},  # du*c: c above b
+        (2, 3): {(1, 1, 3): 1},  # b*du vanishes, db*u stays
+        (0, 4): {(0, 1, 1, 1): -1},  # -a*dc: a*a*b vanishes
+        (2, 4): {(1, 1, 4): 1, (1, 1, 1, 2): -1},  # -b*dc: b*a*b vanishes
+        (0, 3, 4): {(0, 1, 2, 4): -1, (0, 1, 1, 1, 3): -1},  # odd letters on both sides
+        (4, 5): {(1, 1, 1, 5): 1, (0, 2, 5): -1},  # -c*de vanishes: its rest is c, not e
+    }
+    words = list(expected)
+    cols = leibniz_reference.split_rows(d.rows(words), len(words))
+    assert cols == [leibniz_reference.apply_mono(d, m) for m in words]
+    assert cols == list(expected.values())
 
 
 def test_derivation_image_degree_is_checked():
