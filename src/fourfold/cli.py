@@ -41,8 +41,8 @@ from .forms import (
     make_form,
     rationally_equivalent,
 )
-from .gca import DEFAULT_GUARD, BasisTooLarge, format_poly
-from .sullivan import MinimalModelStage, build, verify_stage
+from .gca import format_poly
+from .sullivan import DEFAULT_GUARD, BasisTooLarge, MinimalModelStage, build, verify_stage
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1

@@ -13,7 +13,7 @@ words: higher powers of earlier generators come first (x1^2, x1*x2, x2^2).
 Within one degree no word is a proper prefix of another, so this is the
 graded-lex order of exponent vectors, and plain `sorted` on the words of a
 polynomial gives it.  Every matrix built over the basis inherits that order,
-so output is reproducible.
+so output is reproducible; `basis_count` counts words and sets no limit.
 
 A derivation D is given by its generator images and extended by the graded
 Leibniz rule.  On a monomial m = x_0^e_0 ... x_n^e_n it is
@@ -29,15 +29,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from copy import copy
-from itertools import accumulate, groupby
+from fractions import Fraction
+from itertools import accumulate, chain, groupby
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import Subspace, add_scaled, exact
 
 __all__ = [
-    "DEFAULT_GUARD",
-    "BasisTooLarge",
     "DegreeMismatch",
     "Generator",
     "GeneratorSet",
@@ -52,24 +51,9 @@ __all__ = [
     "format_poly",
 ]
 
-DEFAULT_GUARD = 200_000
 _NO_DEGREE = 1 << 60  # above every degree: the least degree of no generator
 
 Mono = tuple  # ascending word of generator indices
-
-
-class BasisTooLarge(RuntimeError):
-    """A monomial basis exceeded the configured guard limit."""
-
-    def __init__(self, degree: int, limit: int):
-        super().__init__(
-            f"monomial basis in degree {degree} exceeds the guard limit {limit}"
-        )
-        self.degree = degree
-        self.limit = limit
-        # build() attaches what was finished before the guard tripped
-        self.partial_ranks = None
-        self.reports: list = []
 
 
 class DegreeMismatch(ValueError):
@@ -174,12 +158,10 @@ class GeneratorSet:
         raise ValueError(f"monomial {mono}: indices must ascend, odd ones once")
 
 
-def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> int:
-    """Number of monomials of the given total degree; BasisTooLarge above the guard."""
+def basis_count(gens: GeneratorSet, degree: int) -> int:
+    """Number of monomials of the given total degree, without building one."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        return 1  # the unit alone, never guarded
     # counts[n] is the number of degree-n monomials in the generators of the
     # degrees seen so far.  The m generators of degree d multiply its
     # generating function by (1 + x^d)^m when d is odd (each at most once)
@@ -188,6 +170,8 @@ def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> 
     # d is even, so the cost stays bounded however many generators share d.
     counts = [1] + [0] * degree
     for d, m in gens._multiplicity.items():
+        if d > degree:  # no word of the degree holds such a generator
+            continue
         top = min(m, degree // d)
         odd = d % 2
         steps = range(degree, d - 1, -1) if odd else range(d, degree + 1)
@@ -197,14 +181,11 @@ def basis_count(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> 
                 if shift > n:
                     break
                 counts[n] += w * counts[n - shift]
-    if counts[degree] > guard:
-        raise BasisTooLarge(degree, guard)
     return counts[degree]
 
 
-def basis(gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD) -> list:
+def basis(gens: GeneratorSet, degree: int) -> list:
     """All monomials of the given total degree, in graded-lex order."""
-    basis_count(gens, degree, guard)  # the guard trips before any monomial is built
     n = len(gens)
     degs = gens._degrees
     odd = gens._odd
@@ -368,15 +349,20 @@ def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[dict]) ->
 class Derivation:
     """Degree +1 derivation of the free algebra, given by generator images.
 
-    Each image is a word dict {word: nonzero coeff} of degree one above its
-    generator, {} for a closed one, and each word passes the one word rule,
-    `GeneratorSet.monomial_degree`.  The graded Leibniz rule
-    D(ab) = D(a) b + (-1)^{|a|} a D(b) extends it to the whole algebra.
+    Each image is a word dict {word: nonzero int or Fraction} one degree
+    above its generator, {} for a closed one; each word is a tuple of ints
+    under the one word rule, `GeneratorSet.monomial_degree`.  The graded
+    Leibniz rule D(ab) = D(a) b + (-1)^{|a|} a D(b) extends it to the algebra.
     """
 
     __slots__ = ("gens", "images")
 
     def __init__(self, gens: GeneratorSet, images: Sequence[dict]):
+        images = tuple(images)  # outside input; `extended` takes the engine's own images
+        if not {*map(type, chain.from_iterable(chain.from_iterable(images)))} <= {int}:
+            raise ValueError("an image has a letter that is not an int")  # so no bool or float
+        if not {*map(type, chain.from_iterable(map(dict.values, images)))} <= {int, Fraction}:
+            raise ValueError("an image has a coefficient that is no int or Fraction")
         self.gens = gens
         self.images = _appended_images(gens, (), images)
 
@@ -452,9 +438,7 @@ class Derivation:
         return Poly(acc, poly.degree + 1) if acc else Poly()
 
 
-def decomposable_subspace(
-    gens: GeneratorSet, degree: int, guard: int = DEFAULT_GUARD
-) -> Subspace:
+def decomposable_subspace(gens: GeneratorSet, degree: int) -> Subspace:
     """Span of all products of two positive-degree monomials inside a degree.
 
     Enumerated from products, not from word lengths.  Its codimension in the
@@ -463,15 +447,15 @@ def decomposable_subspace(
     """
     if degree < 2:
         raise ValueError("decomposables start in degree 2")
-    blist = basis(gens, degree, guard)
+    blist = basis(gens, degree)
     index = {m: i for i, m in enumerate(blist)}
     hit: set[int] = set()
     for d1 in range(2, degree - 1):
         d2 = degree - d1
         if d1 > d2:
             break
-        left = basis(gens, d1, guard)
-        right = left if d1 == d2 else basis(gens, d2, guard)
+        left = basis(gens, d1)
+        right = left if d1 == d2 else basis(gens, d2)
         for i, m1 in enumerate(left):
             start = i if d1 == d2 else 0
             for m2 in right[start:]:

@@ -47,34 +47,31 @@ older one, and the step carries that degree's data on rather than dropping
 it: the closed generators join the kernel as unit rows and the leads of the
 differentials z of the others join the image's pivots.  That is the fresh
 elimination's result, because the z are independent modulo the coboundaries
-by construction (see extend_stage); if the grown basis would exceed the
-guard, the step leaves the degree to be built afresh.  One routine reads H^n
-off that data for the verifier and for the construction (_cohomology),
-which keeps the H^{k+2} classes the stage map kills.  The verifier also
-tests d(dx) = 0 as membership of dx in the cached cocycles of its degree, so
-after build() it differentiates no word above degree 2.  The guard is the stage's own, and
-cached data stays within it as rebuilt data would; it counts, never builds,
-the degree d lands in.
+by construction (see extend_stage).  One routine reads H^n off that data
+for the verifier and for the construction (_cohomology), which keeps the
+H^{k+2} classes the stage map kills.  The verifier also tests d(dx) = 0 as
+membership of dx in the cached cocycles of its degree, so after build() it
+differentiates no word above degree 2.
+
+The guard is the stage's limit on a degree's word count; one function,
+_guarded, decides every trip.  _diff_data counts the degree it eliminates
+and the one d lands in before it builds a basis, and a step carries a degree
+only where a fresh elimination would not trip, so the cache moves no trip.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
 from .forms import CohomologyAlgebra, RankTable, loop_space_mismatches
-from .gca import (
-    DEFAULT_GUARD,
-    BasisTooLarge,
-    Derivation,
-    Generator,
-    GeneratorSet,
-    basis,
-    basis_count,
-)
+from .gca import Derivation, Generator, GeneratorSet, basis, basis_count
 from .linalg import Subspace, add_scaled, exact, kernel
 
 __all__ = [
+    "DEFAULT_GUARD",
+    "BasisTooLarge",
     "NotSimplyConnected",
     "QuasiMorphism",
     "MinimalModelStage",
@@ -86,6 +83,31 @@ __all__ = [
     "build",
     "verify_stage",
 ]
+
+
+DEFAULT_GUARD = 200_000
+
+
+class BasisTooLarge(RuntimeError):
+    """A monomial basis exceeded the configured guard limit."""
+
+    def __init__(self, degree: int, limit: int, size: int):
+        super().__init__(
+            f"monomial basis in degree {degree} exceeds the guard limit {limit}: {size} words"
+        )
+        self.degree = degree
+        self.limit = limit
+        self.size = size
+        # build() attaches what was finished before the guard tripped
+        self.partial_ranks = None
+        self.reports: list = []
+
+
+def _guarded(degree: int, size: int, limit: int) -> int:
+    """The one trip rule: `size`, or BasisTooLarge above `limit`; degree 0 is never guarded."""
+    if degree and size > limit:
+        raise BasisTooLarge(degree, limit, size)
+    return size
 
 
 class NotSimplyConnected(ValueError):
@@ -176,9 +198,9 @@ class StageReport:
 class MinimalModelStage:
     """Generators, differential and stage map after building through degree k.
 
-    `guard` bounds every monomial basis the stage's cochain data reads; a
-    successor keeps it.  Instances are immutable; `_data` only memoizes
-    per-degree eliminations, which are deterministic functions of the stage.
+    `guard` limits each degree's word count (`_guarded`); a successor keeps
+    it.  Instances are immutable; `_data` only memoizes per-degree
+    eliminations, which are deterministic functions of the stage.
     """
 
     __slots__ = ("algebra", "gens", "diff", "qm", "k", "guard", "_data")
@@ -226,8 +248,9 @@ def _diff_data(stage: MinimalModelStage, n: int) -> _DiffData:
     cached = stage._data.get(n)
     if cached is not None:
         return cached
-    blist = basis(stage.gens, n, stage.guard) if n >= 0 else []
-    basis_count(stage.gens, n + 1, stage.guard)  # and the degree d lands in
+    _guarded(n, basis_count(stage.gens, n) if n >= 0 else 0, stage.guard)
+    _guarded(n + 1, basis_count(stage.gens, n + 1), stage.guard)  # and where d lands
+    blist = basis(stage.gens, n) if n >= 0 else []
     data = _DiffData(*kernel(stage.diff.rows(blist), blist))
     stage._data[n] = data
     return data
@@ -304,19 +327,18 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
     qm2 = stage.qm.extended(y_images + [{}] * len(classes))
     # Degree-n cochain data stays valid while no monomial of degree n is
     # created: appending degree-(k+1) generators only touches degree k+1
-    # itself and degrees >= k+3, where the d of degree k+2 lands: keep it only
-    # while that count stays within the guard, as for a fresh elimination.
-    carried = {n: d for n, d in stage._data.items() if n <= k or n == k + 2}
-    try:
-        basis_count(gens2, k + 3, stage.guard)
-    except BasisTooLarge:
-        del carried[k + 2]
-    # Carry degree k+1 only if its basis stays within the guard.
-    width = low.kernel.ambient_dim + len(new_gens)
-    if width <= stage.guard:
-        u_words = [(len(gens) + i,) for i in range(len(y_images))]
-        cocycles = {**low.kernel.rows, **{w: {w: 1} for w in u_words}}
-        bounds = low.bounds | {min(z) for z in classes}
+    # itself and degrees >= k+3, where the d of degree k+2 lands.  A degree is
+    # carried only where a fresh elimination of it would not trip the guard:
+    # degree k+2 on the count of degree k+3, degree k+1 on its grown width.
+    carried = {n: d for n, d in stage._data.items() if n <= k}
+    with suppress(BasisTooLarge):
+        _guarded(k + 3, basis_count(gens2, k + 3), stage.guard)
+        carried[k + 2] = stage._data[k + 2]
+    u_words = [(len(gens) + i,) for i in range(len(y_images))]
+    cocycles = {**low.kernel.rows, **{w: {w: 1} for w in u_words}}
+    bounds = low.bounds | {min(z) for z in classes}
+    with suppress(BasisTooLarge):
+        width = _guarded(k + 1, low.kernel.ambient_dim + len(new_gens), stage.guard)
         carried[k + 1] = _DiffData(Subspace(width, cocycles), bounds)
     successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, stage.guard, carried)
     report = StageReport(k + 1, len(y_images), len(classes))
@@ -336,8 +358,7 @@ def build(
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    if algebra.dim(2) > guard:  # the degree-2 basis: one generator per class
-        raise BasisTooLarge(2, guard)
+    _guarded(2, algebra.dim(2), guard)  # the degree-2 basis: one generator per class
     stage = init_stage(algebra, guard)
     reports: list[StageReport] = []
     try:

@@ -706,14 +706,18 @@ def test_guard_trips_at_degree_two_before_any_generator(capsys, monkeypatch, arg
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert err == "error: monomial basis in degree 2 exceeds the guard limit 200000\n"
+    assert err == (
+        f"error: monomial basis in degree 2 exceeds the guard limit 200000: {argv[2]} words\n"
+    )
 
 
 def test_guard_at_degree_four_keeps_partial_ranks(capsys):
     code, out, err = run(capsys, "ranks", "--b2", "2000", "--engine", "--max-degree", "3")
     assert code == 3
     assert out == "partial ranks before the guard tripped: {2:2000}\n"
-    assert err == "error: monomial basis in degree 4 exceeds the guard limit 200000\n"
+    assert err == (
+        "error: monomial basis in degree 4 exceeds the guard limit 200000: 2001000 words\n"
+    )
 
 
 def test_guard_zero_leaves_degree_zero_unguarded(capsys):
@@ -729,7 +733,7 @@ def test_verify_guard_covers_the_carried_degree(capsys):
     argv = ("--b2", "0", "--guard", "0", "--max-degree", "4")
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (3, "")
-    assert err == "error: monomial basis in degree 4 exceeds the guard limit 0\n"
+    assert err == "error: monomial basis in degree 4 exceeds the guard limit 0: 1 words\n"
     code, out, err = run(capsys, "model", *argv)
     assert (code, err) == (0, "")
     assert out.endswith("  ranks: pi_2=0, pi_3=0, pi_4=1\n")
@@ -745,7 +749,9 @@ def test_verify_all_splits_over_the_guard_makes_one_split(capsys):
     finally:
         tracemalloc.stop()
     assert (code, out) == (3, "")
-    assert err == "error: monomial basis in degree 2 exceeds the guard limit 200000\n"
+    assert err == (
+        "error: monomial basis in degree 2 exceeds the guard limit 200000: 1000000 words\n"
+    )
     assert peak < 8 << 20
 
 
@@ -766,8 +772,8 @@ def test_k3_pi5_under_a_raised_guard(capsys):
 
 
 def test_k3_guard_trips_in_degree_seven_within_64_mib(capsys):
-    # The degree-6 basis (111090 monomials) passes the guard and is built
-    # before the degree-7 count trips it; its words must stay small.
+    # The degree-6 count (111090 monomials) passes the guard and the
+    # degree-7 count trips it before the degree-6 basis is built.
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "examples", "k3", "--engine", "--max-degree", "5")
@@ -776,7 +782,9 @@ def test_k3_guard_trips_in_degree_seven_within_64_mib(capsys):
         tracemalloc.stop()
     assert code == 3
     assert out.endswith("partial ranks before the guard tripped: {2:22, 3:252, 4:3520}\n")
-    assert err == "error: monomial basis in degree 7 exceeds the guard limit 200000\n"
+    assert err == (
+        "error: monomial basis in degree 7 exceeds the guard limit 200000: 950796 words\n"
+    )
     assert peak < 64 << 20
 
 

@@ -1,8 +1,9 @@
 """Every name a fourfold module exports exists, the package root exports
 exactly the four calls of the README's Library example, no module imports
 another's private names, `linalg.kernel` is the one way into
-elimination, `QuasiMorphism.rows` the one way into the stage map and word
-dicts the one cochain form of the model build."""
+elimination, `QuasiMorphism.rows` the one way into the stage map, word
+dicts the one cochain form of the model build and one `sullivan` function
+the one place a guard trip is decided."""
 
 import ast
 import importlib
@@ -69,9 +70,9 @@ def test_no_module_imports_a_private_name_from_another():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def uses(source, name):
-    """The function, by qualified name, around each read of `name` in
-    `source`, as a bare name or as an attribute."""
+def scopes(source, match):
+    """The function, by qualified name, around each node of `source` that
+    `match` accepts."""
     found = []
 
     def visit(node, scope):
@@ -79,14 +80,24 @@ def uses(source, name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif (isinstance(child, ast.Name) and child.id == name) or (
-                isinstance(child, ast.Attribute) and child.attr == name
-            ):
+            elif match(child):
                 found.append(scope or "<module>")
             visit(child, inner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def is_name(node, names):
+    """Whether `node` reads one of `names`, as a bare name or as an attribute."""
+    return (isinstance(node, ast.Name) and node.id in names) or (
+        isinstance(node, ast.Attribute) and node.attr in names
+    )
+
+
+def uses(source, name):
+    """The function around each read of `name` in `source`."""
+    return scopes(source, lambda node: is_name(node, {name}))
 
 
 def test_only_kernel_reaches_the_elimination():
@@ -127,3 +138,46 @@ def test_the_model_build_reads_no_poly():
     root = Path(fourfold.__file__).parent
     for name in ("sullivan.py", "cli.py"):
         assert uses((root / name).read_text(), "Poly") == [], name
+
+
+LIMITS = {"guard", "limit", "DEFAULT_GUARD"}
+
+
+def raises_too_large(node):
+    """A `raise BasisTooLarge(...)`, or one without the call."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return is_name(exc, {"BasisTooLarge"})
+
+
+def compares_with_the_limit(node):
+    """A comparison of a guard limit with something other than a constant."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(is_name(x, LIMITS) for x in operands) and not any(
+        isinstance(x, ast.Constant) for x in operands
+    )
+
+
+def test_one_function_decides_a_guard_trip():
+    # gca counts and enumerates; one sullivan function compares a size with
+    # the limit and raises BasisTooLarge.  A check of --guard's sign is no trip.
+    sample = (
+        "def f(n, limit):\n    if n > limit:\n        raise BasisTooLarge(1, limit, n)\n"
+        "def g(args):\n    if args.guard < 0:\n        raise InputError\n"
+        "class C:\n    def m(self, size):\n        return size <= self.guard\n"
+        "def h():\n    raise BasisTooLarge\n"
+    )
+    assert scopes(sample, raises_too_large) == ["f", "h"]
+    assert scopes(sample, compares_with_the_limit) == ["f", "C.m"]
+    sources = sorted(Path(fourfold.__file__).parent.glob("*.py"))
+    for match in (raises_too_large, compares_with_the_limit):
+        found = {path.name: scopes(path.read_text(), match) for path in sources}
+        assert {name: where for name, where in found.items() if where} == {
+            "sullivan.py": ["_guarded"]
+        }
+    gca = (Path(fourfold.__file__).parent / "gca.py").read_text()
+    assert scopes(gca, lambda node: is_name(node, LIMITS | {"BasisTooLarge"})) == []
+    assert scopes(gca, lambda node: isinstance(node, ast.arg) and node.arg in LIMITS) == []

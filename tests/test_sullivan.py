@@ -7,16 +7,17 @@ import pytest
 from fourfold import linalg, sullivan
 from fourfold.forms import algebra_from_split
 from fourfold.gca import (
-    DEFAULT_GUARD,
-    BasisTooLarge,
     Derivation,
     GeneratorSet,
     Poly,
     basis,
+    basis_count,
     mul,
 )
 from fourfold.linalg import QMatrix, add_scaled
 from fourfold.sullivan import (
+    DEFAULT_GUARD,
+    BasisTooLarge,
     MinimalModelStage,
     NotSimplyConnected,
     QuasiMorphism,
@@ -650,6 +651,89 @@ def test_a_successor_keeps_its_parents_guard():
     with pytest.raises(BasisTooLarge) as info:
         extend_stage(init_stage(algebra_from_split(2, 1), guard=5))
     assert info.value.limit == 5
+
+
+def bare_stage(gens, guard):
+    """A stage over `gens` with d = 0, enough for the guard reads of _diff_data."""
+    return MinimalModelStage(None, gens, Derivation(gens, [{}] * len(gens)), None, 2, guard)
+
+
+def test_guard_is_the_exact_word_count():
+    # A size equal to the limit fits and one word more trips, in the degree
+    # _diff_data eliminates as in the degree its d lands in.
+    rng = random.Random(7)
+    for _ in range(300):
+        gens = GeneratorSet([(f"g{i}", rng.randint(2, 7)) for i in range(rng.randint(1, 6))])
+        n = rng.randint(1, 13)
+        sizes = {m: basis_count(gens, m) for m in (n, n + 1)}
+        limit = max(sizes.values())
+        assert sullivan._diff_data(bare_stage(gens, limit), n).kernel.ambient_dim == sizes[n]
+        if limit:
+            with pytest.raises(BasisTooLarge) as info:
+                sullivan._diff_data(bare_stage(gens, limit - 1), n)
+            tripped = n if sizes[n] == limit else n + 1  # the first degree read
+            exc = info.value
+            assert (exc.degree, exc.limit, exc.size) == (tripped, limit - 1, limit)
+            assert str(exc) == (
+                f"monomial basis in degree {tripped} exceeds the guard limit {limit - 1}:"
+                f" {limit} words"
+            )
+
+
+def test_degree_zero_is_never_guarded():
+    # The unit alone: degree 0 as the degree eliminated and as the one the d
+    # of degree -1 lands in, then a build and its verifier at guard 0.
+    stage = bare_stage(GeneratorSet([("x", 2)]), 0)
+    assert sullivan._diff_data(stage, 0).kernel.ambient_dim == 1
+    assert sullivan._diff_data(stage, -1).kernel.ambient_dim == 0
+    with pytest.raises(BasisTooLarge) as info:
+        sullivan._diff_data(stage, 1)  # x lands in degree 2
+    assert (info.value.degree, info.value.limit, info.value.size) == (2, 0, 1)
+    stage, table, _ = build(algebra_from_split(0, 0), 3, guard=0)
+    assert table.ranks == {2: 0, 3: 0} and verify_stage(stage).ok
+
+
+def test_guard_trips_before_any_monomial_is_built():
+    stage = bare_stage(GeneratorSet([(f"x{i}", 2) for i in range(1000)]), 20000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BasisTooLarge) as info:
+            sullivan._diff_data(stage, 4)  # 500500 monomials
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.degree, info.value.limit, info.value.size) == (4, 20000, 500500)
+    assert peak < 1 << 20
+
+
+def test_a_miss_counts_its_two_degrees_once_and_builds_one_basis(monkeypatch):
+    built, _, _ = build(algebra_from_split(2, 1), max_degree=6)
+    stage = MinimalModelStage(built.algebra, built.gens, built.diff, built.qm, built.k)
+    counted, bases = [], []
+    real_count, real_basis = sullivan.basis_count, sullivan.basis
+    monkeypatch.setattr(
+        sullivan, "basis_count", lambda g, n: counted.append(n) or real_count(g, n)
+    )
+    monkeypatch.setattr(sullivan, "basis", lambda g, n: bases.append(n) or real_basis(g, n))
+    for n in range(9):
+        sullivan._diff_data(stage, n)
+        sullivan._diff_data(stage, n)  # a hit reads no guard
+    assert counted == [m for n in range(9) for m in (n, n + 1)]
+    assert bases == list(range(9))
+
+
+def test_the_carry_counts_one_degree_per_step(monkeypatch):
+    # Degree k+1's size is its carried width; only degree k+3, where the d
+    # of the carried degree k+2 lands, is counted over the grown generators.
+    counted = []
+    real = sullivan.basis_count
+    monkeypatch.setattr(sullivan, "basis_count", lambda g, n: counted.append((g, n)) or real(g, n))
+    stage = init_stage(algebra_from_split(2, 1))
+    for _ in range(5):
+        k = stage.k
+        stage, _ = extend_stage(stage)
+        assert [n for g, n in counted if g is stage.gens] == [k + 3]
+        assert set(stage._data) >= {k + 1, k + 2}  # both carried under the default guard
 
 
 @pytest.mark.parametrize("split,max_degree", [((3, 0), 5), ((1, 2), 7), ((0, 0), 9)])
