@@ -680,6 +680,14 @@ def test_guard_is_the_exact_word_count():
             )
 
 
+def test_guard_limit():
+    # A basis far over the limit trips in the degree _diff_data eliminates.
+    stage = bare_stage(GeneratorSet([(f"x{i}", 2) for i in range(6)]), 5)
+    with pytest.raises(BasisTooLarge) as info:
+        sullivan._diff_data(stage, 10)
+    assert (info.value.degree, info.value.limit, info.value.size) == (10, 5, 252)
+
+
 def test_degree_zero_is_never_guarded():
     # The unit alone: degree 0 as the degree eliminated and as the one the d
     # of degree -1 lands in, then a build and its verifier at guard 0.
