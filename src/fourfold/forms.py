@@ -324,6 +324,10 @@ class RankTable:
         return 0 if self.finite_tail else None
 
 
+# The nonzero ranks of S^4 and CP^2, whose top cell is not inert.
+_ELLIPTIC = {0: {4: 1, 7: 1}, 1: {2: 1, 5: 1}}
+
+
 def closed_form_ranks(b2: int, max_degree: int = 7) -> RankTable:
     """Ranks of the rational homotopy groups as functions of b2 alone.
 
@@ -331,15 +335,11 @@ def closed_form_ranks(b2: int, max_degree: int = 7) -> RankTable:
     table lists the nonzero `loop_space_ranks` up to degree 4 (5 at rank 3);
     above rank 2 it is infinite-dimensional and higher degrees are unknown.
     """
-    if b2 < 0:
-        raise ValueError("b2 must be nonnegative")
-    if b2 <= 1:
-        entries = {4: 1, 7: 1} if b2 == 0 else {2: 1, 5: 1}
-    else:
-        ranks = loop_space_ranks(b2, 5 if b2 == 3 else 4)
-        entries = {r: v for r, v in ranks.items() if v}
-    entries = {r: v for r, v in entries.items() if r <= max_degree}
-    return RankTable(entries, b2 <= 2)
+    if b2 in _ELLIPTIC:
+        entries = _ELLIPTIC[b2]
+    else:  # the series rejects a negative b2
+        entries = loop_space_ranks(b2, 5 if b2 == 3 else 4)
+    return RankTable({r: v for r, v in entries.items() if v and r <= max_degree}, b2 <= 2)
 
 
 def loop_space_ranks(b2: int, max_degree: int) -> dict[int, int]:
@@ -357,9 +357,10 @@ def loop_space_ranks(b2: int, max_degree: int) -> dict[int, int]:
     mu(n/d) (-1)^{d+1} V_d, whose cases n = 2, 3 are b2 (b2 + 1) / 2 - 1 and
     b2 (b2^2 - 4) / 3.  For b2 <= 1 (S^4, CP^2) the elliptic tables apply.
     """
-    if b2 <= 1:
-        table = closed_form_ranks(b2, max_degree)
-        return {r: table.rank(r) for r in range(2, max_degree + 1)}
+    if b2 in _ELLIPTIC:
+        return {r: _ELLIPTIC[b2].get(r, 0) for r in range(2, max_degree + 1)}
+    if b2 < 0:
+        raise ValueError("b2 must be nonnegative")
     lucas, prev = b2, 2  # V_n and V_{n-1}
     below = [0] * max_degree  # below[n]: sum of d a_d over the divisors d < n of n
     ranks = {}

@@ -53,15 +53,15 @@ H^{k+2} classes the stage map kills.  The verifier also tests d(dx) = 0 as
 membership of dx in the cached cocycles of its degree, so after build() it
 differentiates no word above degree 2.
 
-The guard is the stage's limit on a degree's word count; one function,
-_guarded, decides every trip.  _diff_data counts the degree it eliminates
-and the one d lands in before it builds a basis, and a step carries a degree
-only where a fresh elimination would not trip, so the cache moves no trip.
+The guard is the stage's limit on a degree's word count, and it bounds only
+the bases that are built: one function, _guarded, decides every trip, and
+_diff_data counts the degree it eliminates and the one d lands in before it
+builds a basis.  A carried degree is already eliminated, so a step keeps it
+whatever its width, and verify_stage() trips only where the build does.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,8 +92,9 @@ class BasisTooLarge(RuntimeError):
     """A monomial basis exceeded the configured guard limit."""
 
     def __init__(self, degree: int, limit: int, size: int):
+        words = "word" if size == 1 else "words"
         super().__init__(
-            f"monomial basis in degree {degree} exceeds the guard limit {limit}: {size} words"
+            f"monomial basis in degree {degree} exceeds the guard limit {limit}: {size} {words}"
         )
         self.degree = degree
         self.limit = limit
@@ -198,8 +199,8 @@ class StageReport:
 class MinimalModelStage:
     """Generators, differential and stage map after building through degree k.
 
-    `guard` limits each degree's word count (`_guarded`); a successor keeps
-    it.  Instances are immutable; `_data` only memoizes per-degree
+    `guard` limits the word count of each basis a degree's elimination
+    builds (`_guarded`); a successor keeps it.  Instances are immutable; `_data` only memoizes per-degree
     eliminations, which are deterministic functions of the stage.
     """
 
@@ -327,19 +328,15 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
     qm2 = stage.qm.extended(y_images + [{}] * len(classes))
     # Degree-n cochain data stays valid while no monomial of degree n is
     # created: appending degree-(k+1) generators only touches degree k+1
-    # itself and degrees >= k+3, where the d of degree k+2 lands.  A degree is
-    # carried only where a fresh elimination of it would not trip the guard:
-    # degree k+2 on the count of degree k+3, degree k+1 on its grown width.
-    carried = {n: d for n, d in stage._data.items() if n <= k}
-    with suppress(BasisTooLarge):
-        _guarded(k + 3, basis_count(gens2, k + 3), stage.guard)
-        carried[k + 2] = stage._data[k + 2]
+    # itself and degrees >= k+3, where the d of degree k+2 lands.  So every
+    # degree through k+2 is carried, k+1 with the new words: each is already
+    # eliminated, and the guard bounds only the bases that are built.
+    carried = {n: d for n, d in stage._data.items() if n <= k + 2}
     u_words = [(len(gens) + i,) for i in range(len(y_images))]
     cocycles = {**low.kernel.rows, **{w: {w: 1} for w in u_words}}
     bounds = low.bounds | {min(z) for z in classes}
-    with suppress(BasisTooLarge):
-        width = _guarded(k + 1, low.kernel.ambient_dim + len(new_gens), stage.guard)
-        carried[k + 1] = _DiffData(Subspace(width, cocycles), bounds)
+    width = low.kernel.ambient_dim + len(new_gens)
+    carried[k + 1] = _DiffData(Subspace(width, cocycles), bounds)
     successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, stage.guard, carried)
     report = StageReport(k + 1, len(y_images), len(classes))
     return successor, report

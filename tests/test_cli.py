@@ -727,16 +727,42 @@ def test_guard_zero_leaves_degree_zero_unguarded(capsys):
     assert out == "  [PASS] b2=0 split (0,0)  ranks {2:0, 3:0}\nall checks passed\n"
 
 
-def test_verify_guard_covers_the_carried_degree(capsys):
-    # Stage 4 adjoins u4_1, one degree-4 word, over a guard of 0.  The build
-    # never reads degree 4 again; the verifier builds it and trips.
+def test_verify_and_model_pass_a_carried_degree_over_the_guard(capsys):
+    # Stage 4 adjoins u4_1, one degree-4 word, over a guard of 0.  The step
+    # carries degree 4 already eliminated, so neither command builds it.
     argv = ("--b2", "0", "--guard", "0", "--max-degree", "4")
     code, out, err = run(capsys, "verify", *argv)
-    assert (code, out) == (3, "")
-    assert err == "error: monomial basis in degree 4 exceeds the guard limit 0: 1 words\n"
+    assert (code, err) == (0, "")
+    assert out.endswith("all checks passed\n")
     code, out, err = run(capsys, "model", *argv)
     assert (code, err) == (0, "")
     assert out.endswith("  ranks: pi_2=0, pi_3=0, pi_4=1\n")
+
+
+def test_a_guard_trip_of_one_word_says_word(capsys):
+    code, out, err = run(capsys, "model", "--b2", "1", "--guard", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: monomial basis in degree 2 exceeds the guard limit 0: 1 word\n"
+
+
+TRIP_GUARDS = (0, 1, 2, 5, 10, 30, 55, 100, 234, 1000, 5000)
+
+
+def test_verify_trips_exactly_where_its_build_does(capsys):
+    # Every (b2, D, guard) cell of the guards above, and seeded draws between
+    # them: verify --b2 B runs the split (B, 0), so it exits 3 exactly when
+    # that split's model does, with the same error line, and passes otherwise.
+    rng = random.Random(32)
+    cells = [(b2, d, g) for b2 in range(6) for d in range(2, 8) for g in TRIP_GUARDS]
+    cells += [(rng.randint(0, 5), rng.randint(2, 7), rng.randint(0, 6000)) for _ in range(60)]
+    for b2, d, g in cells:
+        argv = ("--b2", str(b2), "--max-degree", str(d), "--guard", str(g))
+        code, _, err = run(capsys, "verify", *argv)
+        model_code, _, model_err = run(capsys, "model", *argv, "--split", f"{b2},0")
+        if model_code == 3:
+            assert (code, err) == (3, model_err), argv
+        else:
+            assert (code, err, model_code) == (0, "", 0), argv
 
 
 def test_verify_all_splits_over_the_guard_makes_one_split(capsys):

@@ -3,7 +3,8 @@ exactly the four calls of the README's Library example, no module imports
 another's private names, `linalg.kernel` is the one way into
 elimination, `QuasiMorphism.rows` the one way into the stage map, word
 dicts the one cochain form of the model build and one `sullivan` function
-the one place a guard trip is decided."""
+the one place a guard trip is decided, which the carry of a
+construction step never reaches."""
 
 import ast
 import importlib
@@ -181,3 +182,12 @@ def test_one_function_decides_a_guard_trip():
     gca = (Path(fourfold.__file__).parent / "gca.py").read_text()
     assert scopes(gca, lambda node: is_name(node, LIMITS | {"BasisTooLarge"})) == []
     assert scopes(gca, lambda node: isinstance(node, ast.arg) and node.arg in LIMITS) == []
+
+
+def test_the_carry_reads_no_guard():
+    # A step carries degrees it has already eliminated, so the guard bounds
+    # only the bases _diff_data builds and build's degree-2 generators.
+    source = (Path(fourfold.__file__).parent / "sullivan.py").read_text()
+    for name in ("basis_count", "_guarded", "BasisTooLarge", "suppress"):
+        assert "extend_stage" not in uses(source, name), name
+    assert sorted(set(uses(source, "_guarded"))) == ["_diff_data", "build"]

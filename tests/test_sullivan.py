@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -614,18 +615,14 @@ def test_carried_degree_data_matches_a_fresh_elimination(split, max_degree):
      ((1, 1), 5, 6), ((3, 0), 5, 55), ((2, 1), 5, 55), ((4, 0), 5, 234)],
 )
 def test_cached_degrees_stay_within_the_guard(split, max_degree, guard):
-    # Each guard is the least at which the build completes.  At b2 = 0 the
-    # carry would grow degree 4 by u4_1 to one word, over a guard of 0.
+    # Each guard is the least at which the build completes, and the stage
+    # it builds verifies under that guard: the guard bounds the bases that
+    # are built, and a carried degree is already eliminated.  At b2 = 0 the
+    # carry grows degree 4 by u4_1 to one word, over a guard of 0.
     stage, _, _ = build(algebra_from_split(*split), max_degree, guard=guard)
-    sizes = {n: data.kernel.ambient_dim for n, data in stage._data.items() if n >= 1}
-    assert max(sizes.values()) <= guard, sizes
+    assert verify_stage(stage).ok
     with pytest.raises(BasisTooLarge):
         build(algebra_from_split(*split), max_degree, guard=guard - 1)
-    # The guard lives on the stage, so the cache cannot change the verdict.
-    fresh = MinimalModelStage(
-        stage.algebra, stage.gens, stage.diff, stage.qm, stage.k, stage.guard
-    )
-    assert verdict(fresh) == verdict(stage)
 
 
 def verdict(stage):
@@ -674,9 +671,10 @@ def test_guard_is_the_exact_word_count():
             tripped = n if sizes[n] == limit else n + 1  # the first degree read
             exc = info.value
             assert (exc.degree, exc.limit, exc.size) == (tripped, limit - 1, limit)
+            words = "word" if limit == 1 else "words"
             assert str(exc) == (
                 f"monomial basis in degree {tripped} exceeds the guard limit {limit - 1}:"
-                f" {limit} words"
+                f" {limit} {words}"
             )
 
 
@@ -730,18 +728,23 @@ def test_a_miss_counts_its_two_degrees_once_and_builds_one_basis(monkeypatch):
     assert bases == list(range(9))
 
 
-def test_the_carry_counts_one_degree_per_step(monkeypatch):
-    # Degree k+1's size is its carried width; only degree k+3, where the d
-    # of the carried degree k+2 lands, is counted over the grown generators.
+@pytest.mark.parametrize("guard", [10, 55, DEFAULT_GUARD])
+def test_the_carry_counts_no_degree(monkeypatch, guard):
+    # Once degrees k+1 and k+2 are eliminated, a step counts no basis: it
+    # carries both on, under any guard.
     counted = []
     real = sullivan.basis_count
-    monkeypatch.setattr(sullivan, "basis_count", lambda g, n: counted.append((g, n)) or real(g, n))
-    stage = init_stage(algebra_from_split(2, 1))
-    for _ in range(5):
-        k = stage.k
-        stage, _ = extend_stage(stage)
-        assert [n for g, n in counted if g is stage.gens] == [k + 3]
-        assert set(stage._data) >= {k + 1, k + 2}  # both carried under the default guard
+    monkeypatch.setattr(sullivan, "basis_count", lambda g, n: counted.append(n) or real(g, n))
+    stage = init_stage(algebra_from_split(2, 1), guard)
+    with pytest.raises(BasisTooLarge) if guard < DEFAULT_GUARD else nullcontext():
+        for _ in range(5):
+            k = stage.k
+            sullivan._cohomology(stage, k + 2)  # the two degrees the step reads
+            counted.clear()
+            stage, _ = extend_stage(stage)
+            assert counted == []
+            assert set(stage._data) >= {k + 1, k + 2}
+    assert stage.k >= 3
 
 
 @pytest.mark.parametrize("split,max_degree", [((3, 0), 5), ((1, 2), 7), ((0, 0), 9)])
