@@ -22,7 +22,8 @@ of m before x_i: the sign is negative exactly when x_i and p_i both have odd
 degree.  No two terms share a word, as t * (m / x_i) = t' * (m / x_j) with
 i != j needs t = x_i * s, |s| = 1; so `Derivation.rows`, which writes D of
 word j of a list straight into column j of the rows that `linalg.kernel`
-eliminates, sets each entry once.
+eliminates, sets each entry once; a two-letter term meets a one-letter
+rest, as every quadratic image does on a two-letter word, without a sort.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def _koszul_sign(a_odd: list, b_odd: list) -> int:
     """Sign of the product a * b from the ascending odd letters of each word.
 
     (-1) to the number of pairs of an odd letter of a above one of b, or 0
-    when they share one; the one sign rule of `mono_mul` and `Derivation.rows`.
+    when they share one; the sign rule of `mono_mul` and of `Derivation.rows`,
+    which counts the crossings itself only for one letter into a two-letter term.
     """
     inversions = 0
     for j in b_odd:
@@ -387,8 +389,9 @@ class Derivation:
         Maps each target word to {j: its coefficient in D(words[j])}.  A zero
         derivation returns {} without reading the words.  Each generator's
         image is prepared once per call, as (word, coefficient, odd letters)
-        terms, and the odd letters of the rest of a word are listed only when
-        a term has one.
+        terms.  A one-letter rest r goes into a two-letter term t by two
+        comparisons, signed by the odd letters of t above r (none when t holds
+        an odd r); any other t + rest is sorted, and signed by `_koszul_sign`.
         """
         degs, odd, images = self.gens._degrees, self.gens._odd, self.images
         if not any(images):
@@ -411,19 +414,36 @@ class Derivation:
                     rest = mono[:k] + mono[k + 1 :]
                     rest_odd = None
                     outer = k - end if prefix & degs[i] & 1 else end - k
+                    pair = len(rest) == 1
+                    if pair:
+                        r = rest[0]
+                        r_odd = odd[r]
                     for t, c, t_odd in terms:
-                        if not t_odd:
-                            s = outer
+                        s = outer
+                        if pair and len(t) == 2:  # r into t by two comparisons
+                            a, b = t
+                            if r <= a:
+                                target, above = (r, a, b), len(t_odd)
+                            elif r <= b:
+                                target, above = (a, r, b), odd[b]
+                            else:
+                                target, above = (a, b, r), 0
+                            if r_odd and (r == a or r == b):  # an odd letter twice
+                                continue
+                            if r_odd and above & 1:
+                                s = -outer
                         else:
-                            if rest_odd is None:
-                                rest_odd = [j for j in rest if odd[j]]
-                            s = outer * _koszul_sign(t_odd, rest_odd) if rest_odd else outer
-                        if s:
+                            if t_odd:
+                                if rest_odd is None:
+                                    rest_odd = [j for j in rest if odd[j]]
+                                s = outer * _koszul_sign(t_odd, rest_odd) if rest_odd else outer
+                                if not s:
+                                    continue
                             target = tuple(sorted(t + rest)) if rest else t
-                            row = out.get(target)
-                            if row is None:
-                                row = out[target] = {}
-                            row[position] = c if s == 1 else c * s
+                        row = out.get(target)
+                        if row is None:
+                            row = out[target] = {}
+                        row[position] = c if s == 1 else c * s
                 prefix += (end - k) * degs[i]
                 k = end
         return out

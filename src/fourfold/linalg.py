@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals.
 
 An exact rational is stored as an `int` when it is integral and as a
-`fractions.Fraction` otherwise (`exact` puts a value in that form), so
-elimination multiplies plain integers wherever it can; nothing in this
-module ever touches floating point.  Degenerate shapes (0 x n and
-n x 0) are legal everywhere.
+`fractions.Fraction` otherwise (`exact` puts a value in that form);
+nothing in this module ever touches floating point.  Degenerate shapes
+(0 x n and n x 0) are legal everywhere.
 
 Rows are sparse: dicts from a sortable key, a column index or a monomial
 word, to nonzero value.  One routine, `_eliminate`, reduces rows against
 echelon rows keyed by pivot, each led by its largest column, then
 back-substitutes; rank, kernels and image pivots go through it, and only
-this module knows which end of a row leads.  Reduced echelon bases are
-unique, so results depend only on the key order, never on the row order.
+this module knows which end of a row leads.  It is fraction-free: every
+row stays integral, and it divides only at the end, each row by its pivot.
+Reduced echelon bases are unique, so results depend only on the key order,
+never on the row order.
 `kernel` is the one way into elimination.  It takes a map as the rows it
 eliminates, one per target coordinate, with column j at key j, and
 eliminates them once; the kernel vectors read off that form are in reduced
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -116,23 +118,31 @@ class QMatrix:
 
 
 def _reduce(v: dict, held: dict) -> dict:
-    """Clear, in place, the int columns of `v` that are pivots of `held`.
+    """Clear, in place, the int columns of integral `v` that are pivots of `held`.
 
-    `held` maps each pivot to a row whose largest column it is, with entry
-    1 there; so a subtraction only creates entries left of its pivot, and a
-    min-heap of negated columns clears the pivots from the largest down.
+    `held` maps each pivot to an integral row whose largest column it is,
+    with a positive entry a there; so a subtraction only creates entries
+    left of its pivot, and a min-heap of negated columns clears the pivots
+    from the largest down.  The entry f of v there goes by v -= f * row when
+    a = 1, else by v = (a/g) v - (f/g) row with g = gcd(a, f), and then v is
+    divided by the gcd of its entries: v stays integral.
     """
     heap = [-c for c in v if c in held]
-    if not heap:
-        return v
     heapify(heap)
     while heap:
         p = -heappop(heap)
         f = v.pop(p, None)
         if f is None:  # pushed twice, or cancelled on the way
             continue
-        f = -f
-        for j, x in held[p].items():
+        row = held[p]
+        a, f = row[p], -f
+        if a != 1:
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                for j, x in v.items():
+                    v[j] = a * x
+        for j, x in row.items():
             if j == p:
                 continue
             old = v.get(j)
@@ -146,6 +156,10 @@ def _reduce(v: dict, held: dict) -> dict:
                     v[j] = new
                 else:
                     del v[j]
+        if a != 1 and v:
+            g = gcd(*v.values())
+            for j, x in v.items():
+                v[j] = x // g
     return v
 
 
@@ -156,32 +170,36 @@ def _eliminate(rows: Iterable[dict]) -> dict:
     reduced against the pivot rows kept so far, and its nonzero remainder,
     the same dict, is kept as the pivot row of its largest column.  So a
     row given is left `{}` exactly when it depends on the rows before it.
-    The kept rows are then back-substituted, lowest pivot first, and put in
-    the form of `exact`.  A pivot of 1 or -1 keeps integer rows integral; any
-    other is divided out as a Fraction, the only division of the engine.
+    A row enters integral, times the lcm of its denominators, and is kept
+    with a positive lead.  The kept rows are back-substituted, lowest pivot
+    first, and only then divided by their pivots, through `exact`.
     """
     held: dict = {}
     for v in rows:
-        _reduce(v, held)
+        denominators = [x.denominator for x in v.values() if type(x) is not int]
+        if denominators:
+            scale = lcm(*denominators)
+            for j, x in v.items():
+                v[j] = int(x * scale)  # exact: scale clears every denominator
+        if not held.keys().isdisjoint(v):
+            _reduce(v, held)
         if v:
             lead = max(v)
-            pivot = v[lead]
-            if pivot == -1:
+            if v[lead] < 0:
                 for j, x in v.items():
                     v[j] = -x
-            elif pivot != 1:
-                scale = Fraction(1) / pivot
-                for j, x in v.items():
-                    v[j] = x * scale
             held[lead] = v
-    pivots = sorted(held)
     done: dict = {}
-    for p in pivots:
-        row = done[p] = _reduce(held[p], done)
-        for j, x in row.items():
-            if type(x) is not int:
-                row[j] = exact(x)
-    return {p: done[p] for p in pivots}
+    for p in sorted(held):
+        if not done.keys().isdisjoint(held[p]):
+            _reduce(held[p], done)
+        done[p] = held[p]
+    for p, row in done.items():
+        if row[p] != 1:
+            pivot = row[p]
+            for j, x in row.items():
+                row[j] = exact(Fraction(x, pivot))
+    return done
 
 
 class Subspace:

@@ -191,3 +191,12 @@ def test_the_carry_reads_no_guard():
     for name in ("basis_count", "_guarded", "BasisTooLarge", "suppress"):
         assert "extend_stage" not in uses(source, name), name
     assert sorted(set(uses(source, "_guarded"))) == ["_diff_data", "build"]
+
+
+def test_elimination_divides_only_in_its_final_normalization():
+    # _reduce keeps every row integral; _eliminate divides each kept row by
+    # its pivot once, after back-substitution, through exact.
+    source = (Path(fourfold.__file__).parent / "linalg.py").read_text()
+    for name in ("Fraction", "exact"):
+        assert "_reduce" not in uses(source, name), name
+    assert "_eliminate" in uses(source, "exact")

@@ -357,6 +357,33 @@ def test_image_terms_with_an_odd_letter_take_each_sign_branch():
     assert cols == list(expected.values())
 
 
+def test_two_letter_words_put_the_other_letter_into_each_two_letter_term():
+    # a, b and c odd, x and u even.  On a two-letter word the rest is one
+    # letter r, which falls below, between or above a two-letter term t; an
+    # odd r crosses the odd letters of t above it, and dies when t holds it.
+    # dv also has the cubic x^3, which takes the sorting path.
+    gens = GeneratorSet([("a", 3), ("x", 2), ("b", 3), ("c", 3), ("u", 4), ("v", 5)])
+    du = {(1, 2): 1, (0, 1): -1, (1, 3): F(1, 2)}  # x*b - a*x + x*c/2
+    dv = {(2, 3): 1, (1, 4): -1, (1, 1, 1): 1, (0, 2): 1, (0, 3): F(-3, 2)}
+    d = Derivation(gens, [{}, {}, {}, {}, du, dv])
+    expected = {
+        (0, 4): {(0, 1, 2): -1, (0, 1, 3): F(-1, 2)},  # a below x*b: one crossing; a*x dies
+        (0, 5): {(0, 2, 3): -1, (0, 1, 4): 1, (0, 1, 1, 1): -1},  # a below b*c: two crossings
+        (1, 5): {(1, 2, 3): 1, (1, 1, 4): -1, (1, 1, 1, 1): 1, (0, 1, 2): 1, (0, 1, 3): F(-3, 2)},
+        (2, 5): {(1, 2, 4): 1, (1, 1, 1, 2): -1, (0, 2, 3): F(-3, 2)},  # b between a and c
+        (3, 5): {(1, 3, 4): 1, (1, 1, 1, 3): -1, (0, 2, 3): -1},  # c above a*b
+        (4, 4): {(1, 2, 4): 2, (0, 1, 4): -2, (1, 3, 4): 1},  # u^2: outer 2
+        (4, 5): {
+            (1, 2, 5): 1, (0, 1, 5): -1, (1, 3, 5): F(1, 2),
+            (2, 3, 4): 1, (1, 4, 4): -1, (1, 1, 1, 4): 1, (0, 2, 4): 1, (0, 3, 4): F(-3, 2),
+        },
+    }
+    words = list(expected)
+    cols = leibniz_reference.split_rows(d.rows(words), len(words))
+    assert cols == [leibniz_reference.apply_mono(d, m) for m in words]
+    assert cols == list(expected.values())
+
+
 def test_derivation_image_degree_is_checked():
     gens = GeneratorSet([("x", 2), ("u", 5)])
     x = gen(gens, "x")

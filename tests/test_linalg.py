@@ -492,6 +492,66 @@ def test_integer_rows_match_dense_reference_in_canonical_form(shape, mixed):
         assert all(canonical(x) for r in outputs for x in r.values())
 
 
+def shared_factor_rows(rng, nrows, ncols):
+    """Sparse rows led at their largest column by 4, 6 or 9 (either sign), or
+    by 1 or -2, with Fraction entries over 2, 3, 4 and 5; some rows are
+    combinations of earlier ones, so they cancel to {} in elimination."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.25:
+            s, t = F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 3])), rng.choice([-1, 1, 2])
+            combo = linalg.add_scaled({j: s * x for j, x in rng.choice(rows).items()}, t, rng.choice(rows))
+            rows.append({j: linalg.exact(x) for j, x in combo.items()})
+            continue
+        lead = rng.randrange(ncols)
+        row = {lead: linalg.exact(F(rng.choice([4, -4, 6, -6, 9, 1, -2]), rng.choice([1, 1, 3])))}
+        for j in range(lead):
+            if rng.random() < 0.5:
+                x = rng.choice([-6, -4, -3, -1, 1, 2, 4, 6, 9])
+                row[j] = linalg.exact(F(x, rng.choice([2, 3, 4, 5]))) if rng.random() < 0.3 else x
+        rows.append(row)
+    return rows
+
+
+def test_elimination_against_pivots_that_share_a_factor(monkeypatch):
+    # Against a pivot a other than 1 a step takes g = gcd(a, f) and scales v
+    # by a/g; leads of 4, 6 and 9 make both g != 1 and a/g != 1 occur.
+    steps = []
+
+    def spy(*args):
+        g = math.gcd(*args)
+        if len(args) == 2:
+            steps.append((args[0], g))
+        return g
+
+    monkeypatch.setattr(linalg, "gcd", spy)
+    rng = random.Random("shared-factors")
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 6)
+        rows = shared_factor_rows(rng, nrows, ncols)
+        full = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        given = [dict(row) for row in rows]
+        reduced = linalg._eliminate(given)
+        # _eliminate leads each row at its largest column: the textbook form
+        # of the matrix with its columns reversed
+        backwards, pivots = ref_rref([row[::-1] for row in full], ncols)
+        assert list(reduced) == sorted(ncols - 1 - p for p in pivots)
+        assert {p: tuple(r.get(j, 0) for j in range(ncols)) for p, r in reduced.items()} == {
+            ncols - 1 - p: tuple(row[::-1]) for p, row in zip(pivots, backwards)
+        }
+        expected, pivots = ref_rref(full, ncols)
+        assert rref(mat(full, cols=ncols))[0].entries[: len(pivots)] == tuple(expected)
+        assert all(canonical(x) for r in reduced.values() for x in r.values())
+        # a row is left {} exactly when it depends on the rows before it
+        ranks = [len(ref_rref(full[: i + 1], ncols)[1]) for i in range(nrows)]
+        assert [not row for row in given] == [r == (ranks[i - 1] if i else 0) for i, r in enumerate(ranks)]
+        null, _ = column_kernel(transpose(rows, ncols))
+        assert dense(null) == tuple(ref_kernel(full, ncols))
+    assert any(g != 1 and a // g != 1 for a, g in steps)
+    assert any(g != 1 and a // g == 1 for a, g in steps)
+    assert any(g == 1 and a != 1 for a, g in steps)
+
+
 def test_reduced_echelon_form_ignores_row_order():
     rng = random.Random(5)
     for _ in range(40):
