@@ -7,7 +7,10 @@ itself), `classify` (rational equivalence of two intersection forms),
 suite).  Every source of a manifold (`--b2`/`--split`, `--form`, a catalog
 example, a `verify` split, a `classify` name, `diag:`, `sum:` or file) is
 resolved to one `(label, CohomologyAlgebra)`, which every command reads
-and `build` takes as it is; a split source builds no matrix.
+and `build` takes as it is; a split source builds no matrix.  `_run_engine`
+is the one place that builds, for `ranks --engine`, `examples --engine`,
+`model` and `verify`; `main` checks `--max-degree` and `--guard` before any
+command runs.
 
 Exit codes are a stable contract: 0 success, 1 verification failure, 2 input
 error, 3 basis guard exceeded (partial results are still printed).  Identical
@@ -165,28 +168,21 @@ def _tail_note(table: RankTable) -> str:
 # ------------------------------------------------------------------- ranks
 
 
-def _rank_rows(formula: RankTable, engine: RankTable | None):
-    degrees = set(formula.ranks)
-    if engine is not None:
-        degrees |= set(engine.ranks)
-    rows = []
-    for r in sorted(degrees):
-        frank = formula.rank(r)
-        erank = engine.rank(r) if engine is not None else None
-        rows.append((r, frank, erank))
-    return rows
+def _run_engine(args, algebra: CohomologyAlgebra):
+    """The one place that builds: the stage, its table and the degrees where
+    the table differs from the loop-space series."""
+    stage, table, _ = build(algebra, args.max_degree, guard=args.guard)
+    return stage, table, loop_space_mismatches(algebra.b2, table.ranks)
 
 
 def _print_ranks(args, label: str, algebra: CohomologyAlgebra) -> int:
-    """The rank table of `ranks` and `examples`, for options already checked."""
+    """The rank table of `ranks` and `examples`."""
     formula = closed_form_ranks(algebra.b2)
     engine_table = None
     agreement = None
     if args.engine:
-        _, engine_table, _ = build(algebra, args.max_degree, guard=args.guard)
-        bad = loop_space_mismatches(algebra.b2, engine_table.ranks)
+        _, engine_table, bad = _run_engine(args, algebra)
         agreement = not bad
-    rows = _rank_rows(formula, engine_table)
     if args.format == "json":
         doc = {
             "command": "ranks",
@@ -203,11 +199,12 @@ def _print_ranks(args, label: str, algebra: CohomologyAlgebra) -> int:
         print(f"homotopy group ranks for {label}")
         if engine_table is None:
             print("  r   rk pi_r")
-            for r, f, _ in rows:
-                print(f"  {r:<3} {f if f is not None else '-'}")
+            for r, f in sorted(formula.ranks.items()):
+                print(f"  {r:<3} {f}")
         else:
             print("  r   formula   engine    verdict")
-            for r, f, e in rows:
+            for r in sorted(set(formula.ranks) | set(engine_table.ranks)):
+                f, e = formula.rank(r), engine_table.rank(r)
                 verdict = "-" if e is None else ("MISMATCH" if r in bad else "ok")
                 ftxt = "-" if f is None else str(f)
                 etxt = "-" if e is None else str(e)
@@ -220,8 +217,6 @@ def _print_ranks(args, label: str, algebra: CohomologyAlgebra) -> int:
 
 def cmd_ranks(args) -> int:
     label, algebra = _resolve_source(args)
-    if args.engine:
-        _check_engine_options(args)
     return _print_ranks(args, label, algebra)
 
 
@@ -281,8 +276,7 @@ def model_document(stage: MinimalModelStage, table: RankTable, meta: dict) -> It
 
 def cmd_model(args) -> int:
     label, algebra = _resolve_source(args)
-    _check_engine_options(args)
-    stage, table, _ = build(algebra, args.max_degree, guard=args.guard)
+    stage, table, bad = _run_engine(args, algebra)
     meta = _meta(algebra, args.max_degree)
     if args.format == "json":
         out = sys.stdout
@@ -302,7 +296,6 @@ def cmd_model(args) -> int:
             print(f"  {g.name} (degree {g.degree})  d = {image}")
         ranks = ", ".join(f"pi_{r}={v}" for r, v in sorted(table.ranks.items()))
         print(f"  ranks: {ranks}")
-    bad = loop_space_mismatches(algebra.b2, table.ranks)
     if bad:
         r = min(bad)
         print(
@@ -387,8 +380,6 @@ def cmd_examples(args) -> int:
         label = f"#{algebra.b2_plus} CP^2 # {algebra.b2_minus} CP^2-bar (b2={algebra.b2})"
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown example {which!r}")
-    if args.engine:
-        _check_engine_options(args)
     if args.format != "json":
         print(label)
     return _print_ranks(args, f"b2={algebra.b2}", algebra)
@@ -397,14 +388,7 @@ def cmd_examples(args) -> int:
 # ------------------------------------------------------------------- verify
 
 
-def _verify_one(algebra: CohomologyAlgebra, max_degree: int, guard: int):
-    stage, table, _ = build(algebra, max_degree, guard=guard)
-    report = verify_stage(stage)
-    return table, [f"{check.name}: {check.detail}" for check in report.failures()]
-
-
 def cmd_verify(args) -> int:
-    _check_engine_options(args)
     if args.b2 is not None:
         if args.b2 < 0:
             raise InputError("--b2 must be nonnegative")
@@ -418,7 +402,8 @@ def cmd_verify(args) -> int:
         tables = []
         for plus in pluses:
             algebra = algebra_from_split(plus, b2 - plus)
-            table, failures = _verify_one(algebra, args.max_degree, args.guard)
+            stage, table, _ = _run_engine(args, algebra)
+            failures = [f"{c.name}: {c.detail}" for c in verify_stage(stage).failures()]
             tables.append(table)
             status = "PASS" if not failures else "FAIL"
             ranks = ", ".join(f"{r}:{v}" for r, v in sorted(table.ranks.items()))
@@ -529,13 +514,15 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
+            if hasattr(args, "max_degree"):  # a command given _add_engine_options
+                _check_engine_options(args)
             return args.func(args)
         except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except BasisTooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
-            partial = exc.partial_ranks.ranks if exc.partial_ranks is not None else {}
+            partial = exc.partial_ranks.ranks
             if partial:
                 ranks = ", ".join(f"{r}:{v}" for r, v in sorted(partial.items()))
                 print(f"partial ranks before the guard tripped: {{{ranks}}}")

@@ -452,7 +452,7 @@ class Derivation:
         coeffs = list(poly.terms.values())
         acc: dict = {}
         for target, row in self.rows(list(poly.terms)).items():
-            value = sum(coeffs[p] * x for p, x in row.items())
+            value = exact(sum(coeffs[p] * x for p, x in row.items()))
             if value:
                 acc[target] = value
         return Poly(acc, poly.degree + 1) if acc else Poly()

@@ -100,7 +100,7 @@ class BasisTooLarge(RuntimeError):
         self.limit = limit
         self.size = size
         # build() attaches what was finished before the guard tripped
-        self.partial_ranks = None
+        self.partial_ranks = RankTable()
         self.reports: list = []
 
 

@@ -586,17 +586,24 @@ def test_examples_connected_sum(capsys):
 
 
 def test_examples_checks_its_options_once_and_keeps_its_arguments(capsys, monkeypatch):
+    # main checks the engine options once, before the command runs; the
+    # command leaves the parsed arguments as the check saw them.
     checks = []
     real = cli._check_engine_options
-    monkeypatch.setattr(cli, "_check_engine_options", lambda a: checks.append(1) or real(a))
-    args = cli.build_parser().parse_args(
-        ["examples", "connected-sum", "2,1", "--engine", "--max-degree", "4"]
+
+    def check(args):
+        checks.append((args, dict(vars(args))))
+        real(args)
+
+    monkeypatch.setattr(cli, "_check_engine_options", check)
+    code, out, _ = run(
+        capsys, "examples", "connected-sum", "2,1", "--engine", "--max-degree", "4"
     )
-    before = dict(vars(args))
-    assert args.func(args) == 0
+    assert code == 0
+    assert len(checks) == 1
+    args, before = checks[0]
     assert vars(args) == before
-    assert checks == [1]
-    assert capsys.readouterr().out.startswith("#2 CP^2 # 1 CP^2-bar (b2=3)\n")
+    assert out.startswith("#2 CP^2 # 1 CP^2-bar (b2=3)\n")
 
 
 def test_examples_bad_parameters(capsys):
@@ -638,30 +645,36 @@ def test_split_errors_name_the_argument_given(capsys, argv, message):
     "argv",
     [
         ("ranks", "--b2", "3", "--engine", "--max-degree", "1"),
+        ("ranks", "--b2", "3", "--max-degree", "1"),
+        ("ranks", "--engine", "--max-degree", "1"),
         ("model", "--b2", "3", "--max-degree", "1"),
         ("examples", "connected-sum", "2,1", "--engine", "--max-degree", "0"),
         ("examples", "k3", "--engine", "--max-degree", "0"),
+        ("examples", "k3", "--max-degree", "0"),
         ("verify", "--b2", "3", "--max-degree", "-1"),
     ],
-    ids=["ranks", "model", "examples", "examples-k3", "verify"],
+    ids=["ranks", "ranks-no-engine", "ranks-no-source", "model", "examples", "examples-k3",
+         "examples-k3-no-engine", "verify"],
 )
 def test_max_degree_below_two_is_an_input_error(capsys, argv):
+    # with or without --engine, and before the source is resolved
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""  # nothing is printed before the options are checked
-    assert "--max-degree" in err
-    assert "Traceback" not in err
+    assert err == f"error: --max-degree must be at least 2, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("ranks", "--b2", "3", "--engine", "--guard", "-5"),
+        ("ranks", "--b2", "3", "--guard", "-5"),
         ("model", "--b2", "3", "--guard", "-5"),
         ("examples", "connected-sum", "2,1", "--engine", "--guard", "-1"),
+        ("examples", "k3", "--guard", "-1"),
         ("verify", "--b2", "3", "--guard", "-5"),
     ],
-    ids=["ranks", "model", "examples", "verify"],
+    ids=["ranks", "ranks-no-engine", "model", "examples", "examples-k3-no-engine", "verify"],
 )
 def test_negative_guard_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)

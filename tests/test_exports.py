@@ -4,7 +4,8 @@ another's private names, `linalg.kernel` is the one way into
 elimination, `QuasiMorphism.rows` the one way into the stage map, word
 dicts the one cochain form of the model build and one `sullivan` function
 the one place a guard trip is decided, which the carry of a
-construction step never reaches."""
+construction step never reaches, and `cli._run_engine` the one place the
+command line builds."""
 
 import ast
 import importlib
@@ -200,3 +201,13 @@ def test_elimination_divides_only_in_its_final_normalization():
     for name in ("Fraction", "exact"):
         assert "_reduce" not in uses(source, name), name
     assert "_eliminate" in uses(source, "exact")
+
+
+def test_the_command_line_builds_and_checks_its_options_in_one_place():
+    # _run_engine is the one cli function that builds and compares the table
+    # with the loop-space series; main checks --max-degree and --guard once.
+    source = (Path(fourfold.__file__).parent / "cli.py").read_text()
+    for name in ("build", "loop_space_mismatches"):
+        assert uses(source, name) == ["_run_engine"], name
+    assert uses(source, "_check_engine_options") == ["main"]
+    assert uses(source, "verify_stage") == ["cmd_verify"]

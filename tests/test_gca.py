@@ -384,6 +384,19 @@ def test_two_letter_words_put_the_other_letter_into_each_two_letter_term():
     assert cols == list(expected.values())
 
 
+def test_apply_gives_integral_coefficients_as_ints():
+    # du = x*b - a*x + x*c/2: the outer 2 of d(u^2) = 2 u du meets the 1/2
+    # at x*c*u, whose coefficient is the int 1, not Fraction(1, 1).
+    gens = GeneratorSet([("a", 3), ("x", 2), ("b", 3), ("c", 3), ("u", 4)])
+    du = {(1, 2): 1, (0, 1): -1, (1, 3): F(1, 2)}
+    d = Derivation(gens, [{}, {}, {}, {}, du])
+    u = gen(gens, "u")
+    image = d.apply(mul(gens, u, u)).terms
+    assert image == {(1, 2, 4): 2, (0, 1, 4): -2, (1, 3, 4): 1}
+    assert type(image[(1, 3, 4)]) is int
+    assert all(type(c) is int for c in image.values() if c == int(c))
+
+
 def test_derivation_image_degree_is_checked():
     gens = GeneratorSet([("x", 2), ("u", 5)])
     x = gen(gens, "x")

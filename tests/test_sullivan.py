@@ -291,6 +291,11 @@ def test_build_guard_failure_carries_partial_table():
     assert exc.partial_ranks is not None
     assert exc.partial_ranks.ranks == {2: 4, 3: 9}
     assert exc.reports  # at least one stage completed
+    # a trip at degree 2, before any stage, carries an empty table
+    with pytest.raises(BasisTooLarge) as info:
+        build(algebra_from_split(4, 0), max_degree=5, guard=3)
+    assert info.value.degree == 2
+    assert info.value.partial_ranks.ranks == {}
 
 
 def test_one_elimination_per_differential(monkeypatch):
