@@ -5,8 +5,8 @@ indices in ascending order, one entry per factor: x1^2*x5 is (0, 0, 4) and
 the unit is ().  Indices never move, so values built at one stage stay valid
 after more generators are appended.  Odd-degree generators square to zero,
 so an odd index appears at most once; `GeneratorSet.monomial_degree` owns this
-word rule, for `Poly` and `Derivation` alike.  The sign of a product counts
-the crossings of odd factors when the two words are merged.
+word rule, for `Poly` and the `Derivation` constructor.  The sign of a product
+counts the crossings of odd factors when the two words are merged.
 
 The monomial basis of a fixed degree is enumerated in lexicographic order of
 words: higher powers of earlier generators come first (x1^2, x1*x2, x2^2).
@@ -329,25 +329,6 @@ def mul(gens: GeneratorSet, a: Poly, b: Poly) -> Poly:
     return Poly(acc, a.degree + b.degree)
 
 
-def _appended_images(gens: GeneratorSet, images: tuple, more: Sequence[dict]) -> tuple:
-    """`images` then `more`, one per generator of `gens`; only `more` is checked."""
-    more = tuple(more)
-    if len(images) + len(more) != len(gens):
-        raise ValueError("one image per generator is required")
-    word_degree = gens.monomial_degree
-    for g, img in zip(gens.generators[len(images) :], more):
-        expected = g.degree + 1
-        for word in img:
-            degree = word_degree(word)
-            if degree != expected:
-                raise DegreeMismatch(
-                    f"image of {g.name} has degree {degree}, expected {expected}"
-                )
-        if 0 in img.values():
-            raise ValueError(f"image of {g.name} has a zero coefficient")
-    return images + more
-
-
 class Derivation:
     """Degree +1 derivation of the free algebra, given by generator images.
 
@@ -360,19 +341,33 @@ class Derivation:
     __slots__ = ("gens", "images")
 
     def __init__(self, gens: GeneratorSet, images: Sequence[dict]):
-        images = tuple(images)  # outside input; `extended` takes the engine's own images
+        images = tuple(images)  # outside input, checked here alone
         if not {*map(type, chain.from_iterable(chain.from_iterable(images)))} <= {int}:
             raise ValueError("an image has a letter that is not an int")  # so no bool or float
         if not {*map(type, chain.from_iterable(map(dict.values, images)))} <= {int, Fraction}:
             raise ValueError("an image has a coefficient that is no int or Fraction")
+        if len(images) != len(gens):
+            raise ValueError("one image per generator is required")
+        word_degree = gens.monomial_degree
+        for g, img in zip(gens.generators, images):
+            expected = g.degree + 1
+            for word in img:
+                degree = word_degree(word)
+                if degree != expected:
+                    raise DegreeMismatch(
+                        f"image of {g.name} has degree {degree}, expected {expected}"
+                    )
+            if 0 in img.values():
+                raise ValueError(f"image of {g.name} has a zero coefficient")
         self.gens = gens
-        self.images = _appended_images(gens, (), images)
+        self.images = images
 
     def extended(self, gens: GeneratorSet, new_images: Sequence[dict]) -> "Derivation":
-        """The derivation on `gens`, which extends `self.gens`, with images appended."""
+        """The derivation on `gens`, which extends `self.gens`, with the new images
+        appended unchecked; outside images go through the constructor."""
         grown = copy(self)
         grown.gens = gens
-        grown.images = _appended_images(gens, self.images, new_images)
+        grown.images = self.images + tuple(new_images)
         return grown
 
     def minimality_witness(self):

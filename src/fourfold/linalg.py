@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 An exact rational is stored as an `int` when it is integral and as a
-`fractions.Fraction` otherwise (`exact` puts a value in that form);
+`fractions.Fraction` otherwise (`exact` puts an int or a Fraction in it);
 nothing in this module ever touches floating point.  Degenerate shapes
 (0 x n and n x 0) are legal everywhere.
 
@@ -43,11 +43,11 @@ __all__ = [
 
 
 def exact(x) -> int | Fraction:
-    """`x` as the engine stores a rational: an int when integral, else a Fraction."""
+    """An int or Fraction `x` (no bool or float) as an int when integral, else a Fraction."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        raise ValueError(f"an exact rational is an int or a Fraction, not {type(x).__name__}")
     return x.numerator if x.denominator == 1 else x
 
 

@@ -4,8 +4,9 @@ another's private names, `linalg.kernel` is the one way into
 elimination, `QuasiMorphism.rows` the one way into the stage map, word
 dicts the one cochain form of the model build and one `sullivan` function
 the one place a guard trip is decided, which the carry of a
-construction step never reaches, and `cli._run_engine` the one place the
-command line builds."""
+construction step never reaches, `cli._run_engine` the one place the
+command line builds, and the `Derivation` constructor the one place its
+images are checked."""
 
 import ast
 import importlib
@@ -140,6 +141,25 @@ def test_the_model_build_reads_no_poly():
     root = Path(fourfold.__file__).parent
     for name in ("sullivan.py", "cli.py"):
         assert uses((root / name).read_text(), "Poly") == [], name
+
+
+def test_the_constructor_alone_checks_derivation_images():
+    # Outside images go through Derivation.__init__; extended appends the
+    # construction's own images and checks nothing.
+    from fourfold import gca
+
+    source = (Path(fourfold.__file__).parent / "gca.py").read_text()
+    assert sorted(uses(source, "monomial_degree")) == ["Derivation.__init__", "Poly.from_terms"]
+    assert not hasattr(gca, "_appended_images")
+    extended = next(
+        node
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef) and cls.name == "Derivation"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "extended"
+    )
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(extended))
+    assert not any(is_name(node, {"DegreeMismatch"}) for node in ast.walk(extended))
 
 
 LIMITS = {"guard", "limit", "DEFAULT_GUARD"}

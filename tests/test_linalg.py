@@ -1,12 +1,13 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from fourfold import linalg
 from fourfold.forms import NotSymmetric, algebra_from_split
-from fourfold.gca import basis
+from fourfold.gca import GeneratorSet, Poly, basis
 from fourfold.linalg import QMatrix, Subspace, kernel
 from fourfold.sullivan import build
 
@@ -247,6 +248,20 @@ def test_add_scaled_updates_in_place_and_deletes_what_cancels():
     assert acc == {0: 2, 4: F(7, 2), 5: 3}  # column 2 cancelled and is gone
     assert row == {0: 2, 2: -1, 4: 7}
     assert linalg.add_scaled(acc, -1, dict(acc)) == {}
+
+
+def test_exact_takes_only_ints_and_fractions():
+    assert [linalg.exact(x) for x in (3, F(6, 2), F(1, 2))] == [3, 3, F(1, 2)]
+    assert type(linalg.exact(F(6, 2))) is int
+    # Fraction() would take each of these, a float inexactly and True as 1.
+    for x in (0.5, True, "1/2", Decimal("0.5")):
+        with pytest.raises(ValueError, match="an int or a Fraction, not"):
+            linalg.exact(x)
+    gens = GeneratorSet([("x", 2)])
+    with pytest.raises(ValueError, match="an int or a Fraction, not float"):
+        Poly.from_terms(gens, {(0,): 0.1})
+    with pytest.raises(ValueError, match="an int or a Fraction, not float"):
+        Poly.from_terms(gens, {(0,): 1}).scaled(0.1)
 
 
 # ------------------------------------------------- congruence diagonalization

@@ -483,6 +483,15 @@ def test_model_coefficients_are_ints_or_proper_fractions(split, max_degree):
     assert not any(isinstance(x, float) for x in others)
 
 
+def test_the_constructor_accepts_every_image_the_engine_appends():
+    # A construction step appends its images unchecked; the constructor,
+    # which checks every rule, takes them back unchanged.
+    cells = [(split, 5) for b2 in range(7) for split in splits(b2)] + [((1, 2), 8), ((4, 0), 6)]
+    for split, max_degree in cells:
+        stage, _, _ = build(algebra_from_split(*split), max_degree)
+        assert Derivation(stage.gens, stage.diff.images).images == stage.diff.images, split
+
+
 def test_kill_step_combination_of_one_class_is_a_copy():
     classes = [{(0, 0): 1, (1, 1): -1}, {(0, 1): F(1, 2)}]
     row = sullivan._combine({1: 1}, classes)
