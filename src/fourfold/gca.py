@@ -81,7 +81,10 @@ class GeneratorSet:
         """Append `more` while the set is being made, checking only them."""
         gens = []
         for g in more:
-            name, degree = g
+            try:
+                name, degree = g
+            except (TypeError, ValueError):  # no pair to unpack
+                name = degree = None
             if type(name) is not str or type(degree) is not int:  # so no bool degree
                 raise ValueError(f"a generator is a (str, int) pair, got {g!r}")
             if degree < 2:
@@ -342,6 +345,10 @@ class Derivation:
 
     def __init__(self, gens: GeneratorSet, images: Sequence[dict]):
         images = tuple(images)  # outside input, checked here alone
+        if not {*map(type, images)} <= {dict}:
+            raise ValueError("an image is not a dict")
+        if not {*map(type, chain.from_iterable(images))} <= {tuple}:
+            raise ValueError("an image has a word that is not a tuple")
         if not {*map(type, chain.from_iterable(chain.from_iterable(images)))} <= {int}:
             raise ValueError("an image has a letter that is not an int")  # so no bool or float
         if not {*map(type, chain.from_iterable(map(dict.values, images)))} <= {int, Fraction}:
@@ -362,11 +369,11 @@ class Derivation:
         self.gens = gens
         self.images = images
 
-    def extended(self, gens: GeneratorSet, new_images: Sequence[dict]) -> "Derivation":
-        """The derivation on `gens`, which extends `self.gens`, with the new images
-        appended unchecked; outside images go through the constructor."""
+    def extended(self, more: Iterable, new_images: Sequence[dict]) -> "Derivation":
+        """`self` with the (name, degree) pairs `more` appended, checked, and their
+        images appended unchecked; outside images go through the constructor."""
         grown = copy(self)
-        grown.gens = gens
+        grown.gens = self.gens.extended(more)
         grown.images = self.images + tuple(new_images)
         return grown
 

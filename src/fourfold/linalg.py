@@ -63,7 +63,7 @@ def add_scaled(acc: dict, coeff, row: dict) -> dict:
 
 
 def _fraction_row(row: Iterable) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+    return tuple(Fraction(exact(x)) for x in row)
 
 
 @dataclass(frozen=True)

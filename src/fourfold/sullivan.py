@@ -197,11 +197,11 @@ class StageReport:
 
 
 class MinimalModelStage:
-    """Generators, differential and stage map after building through degree k.
+    """Differential and stage map after building through degree k; `gens` is `diff.gens`.
 
-    `guard` limits the word count of each basis a degree's elimination
-    builds (`_guarded`); a successor keeps it.  Instances are immutable; `_data` only memoizes per-degree
-    eliminations, which are deterministic functions of the stage.
+    `guard` limits the word count of each basis a degree's elimination builds (`_guarded`);
+    a successor keeps it.  Instances are immutable; `_data`, the carry on a successor, only
+    memoizes per-degree eliminations, which are deterministic functions of the stage.
     """
 
     __slots__ = ("algebra", "gens", "diff", "qm", "k", "guard", "_data")
@@ -209,20 +209,20 @@ class MinimalModelStage:
     def __init__(
         self,
         algebra: CohomologyAlgebra,
-        gens: GeneratorSet,
         diff: Derivation,
         qm: QuasiMorphism,
         k: int,
         guard: int = DEFAULT_GUARD,
-        data: dict | None = None,
     ):
+        if len(qm.images) != len(diff.gens):
+            raise ValueError("the stage map needs one image per generator")
         self.algebra = algebra
-        self.gens = gens
+        self.gens = diff.gens
         self.diff = diff
         self.qm = qm
         self.k = k
         self.guard = guard
-        self._data = {} if data is None else data
+        self._data = {}
 
     def generator_counts(self) -> dict:
         return self.gens.multiplicity
@@ -278,7 +278,7 @@ def init_stage(algebra: CohomologyAlgebra, guard: int = DEFAULT_GUARD) -> Minima
     gens = GeneratorSet([(f"x{i + 1}", 2) for i in range(n2)])
     diff = Derivation(gens, [{}] * n2)
     qm = QuasiMorphism(tuple({i: 1} for i in range(n2)))
-    return MinimalModelStage(algebra, gens, diff, qm, 2, guard)
+    return MinimalModelStage(algebra, diff, qm, 2, guard)
 
 
 def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageReport]:
@@ -323,8 +323,7 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
     degree = k + 1
     new_gens = [Generator(f"u{degree}_{i + 1}", degree) for i in range(len(y_images))]
     new_gens += [Generator(f"v{degree}_{j + 1}", degree) for j in range(len(classes))]
-    gens2 = gens.extended(new_gens)
-    diff2 = stage.diff.extended(gens2, [{}] * len(y_images) + classes)
+    diff2 = stage.diff.extended(new_gens, [{}] * len(y_images) + classes)
     qm2 = stage.qm.extended(y_images + [{}] * len(classes))
     # Degree-n cochain data stays valid while no monomial of degree n is
     # created: appending degree-(k+1) generators only touches degree k+1
@@ -337,7 +336,8 @@ def extend_stage(stage: MinimalModelStage) -> tuple[MinimalModelStage, StageRepo
     bounds = low.bounds | {min(z) for z in classes}
     width = low.kernel.ambient_dim + len(new_gens)
     carried[k + 1] = _DiffData(Subspace(width, cocycles), bounds)
-    successor = MinimalModelStage(algebra, gens2, diff2, qm2, k + 1, stage.guard, carried)
+    successor = MinimalModelStage(algebra, diff2, qm2, k + 1, stage.guard)
+    successor._data = carried
     report = StageReport(k + 1, len(y_images), len(classes))
     return successor, report
 

@@ -304,9 +304,7 @@ def test_model_json_matches_the_reference_on_random_rational_coefficients():
     stage, table, _ = build(algebra_from_split(1, 2), 7)
     scales = [Fraction(rng.randint(-999, 999) or 1, rng.randint(1, 999)) for _ in stage.gens]
     images = [{m: c * q for m, c in image.items()} for image, q in zip(stage.diff.images, scales)]
-    scaled = MinimalModelStage(
-        stage.algebra, stage.gens, Derivation(stage.gens, images), stage.qm, stage.k
-    )
+    scaled = MinimalModelStage(stage.algebra, Derivation(stage.gens, images), stage.qm, stage.k)
     meta = cli._meta(stage.algebra, 7)
     text = "".join(cli.model_document(scaled, table, meta))
     assert "/" in text
@@ -328,7 +326,8 @@ def test_model_json_matches_the_reference_on_hand_built_words():
         poly({(0, 1, 2): 1, (0, 0, 3): -1, (0, 4): Fraction(-3, 2)}),
         poly({(0, 2, 3): 1, (0, 0, 0, 0): 7, (1, 5): -1, (0, 1, 1, 1): 2}),
     ]
-    stage = MinimalModelStage(base.algebra, gens, Derivation(gens, images), base.qm, 7)
+    qm = base.qm.extended([{}] * 5)
+    stage = MinimalModelStage(base.algebra, Derivation(gens, images), qm, 7)
     meta = cli._meta(base.algebra, 7)
     text = "".join(cli.model_document(stage, table, meta))
     assert text == json_reference.model_text(stage, table, meta)
@@ -874,9 +873,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         x1 = Poly.from_terms(gens, {(gens.index("x1"),): 1})
         images = list(stage.diff.images)
         images[gens.index("v3_1")] = mul(gens, x1, x1).terms
-        broken = MinimalModelStage(
-            algebra, gens, Derivation(gens, images), stage.qm, stage.k
-        )
+        broken = MinimalModelStage(algebra, Derivation(gens, images), stage.qm, stage.k)
         return broken, table, reports
 
     monkeypatch.setattr(cli, "build", broken_build)

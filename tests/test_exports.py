@@ -5,11 +5,13 @@ elimination, `QuasiMorphism.rows` the one way into the stage map, word
 dicts the one cochain form of the model build and one `sullivan` function
 the one place a guard trip is decided, which the carry of a
 construction step never reaches, `cli._run_engine` the one place the
-command line builds, and the `Derivation` constructor the one place its
-images are checked."""
+command line builds, the `Derivation` constructor the one place its
+images are checked, and a stage's differential the one holder of its
+generators."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -231,3 +233,22 @@ def test_the_command_line_builds_and_checks_its_options_in_one_place():
         assert uses(source, name) == ["_run_engine"], name
     assert uses(source, "_check_engine_options") == ["main"]
     assert uses(source, "verify_stage") == ["cmd_verify"]
+
+
+def test_a_stage_takes_its_generators_from_its_differential():
+    # MinimalModelStage holds no generator set or cache of its own, and a
+    # construction step grows the generators only through Derivation.extended.
+    from fourfold import sullivan
+
+    params = list(inspect.signature(sullivan.MinimalModelStage.__init__).parameters)
+    assert params == ["self", "algebra", "diff", "qm", "k", "guard"]
+    source = (Path(fourfold.__file__).parent / "sullivan.py").read_text()
+    grown = [
+        ast.unparse(node.func.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "extended"
+    ]
+    assert sorted(grown) == ["stage.diff", "stage.qm"]
+    assert uses(source, "GeneratorSet") == ["init_stage"]

@@ -437,11 +437,15 @@ def test_every_word_of_an_image_is_checked():
         (3, {(0, 0): True}, "coefficient that is no int or Fraction"),
         (2, {(True,): 1}, "letter that is not an int"),  # would read u
         (2, {(1.0,): 1}, "letter that is not an int"),
+        (3, [(0, 0)], "an image is not a dict"),
+        (3, {7: 1}, "a word that is not a tuple"),
+        (3, None, "an image is not a dict"),
     ],
 )
 def test_an_image_takes_int_letters_and_int_or_fraction_coefficients(degree, image, message):
     # each image belongs to a generator w appended to x and u; the
-    # constructor is where images from outside the engine enter
+    # constructor is where images from outside the engine enter, and it
+    # rejects each malformed one with ValueError
     gens = GeneratorSet([("x", 2), ("u", 3), ("w", degree)])
     with pytest.raises(ValueError, match=message):
         Derivation(gens, [{}, {}, image])
@@ -460,7 +464,7 @@ def test_extended_checks_what_it_appends():
         gens.extended([("w", 3), ("w", 3)])
     with pytest.raises(ValueError, match="degree 1 < 2"):
         gens.extended([("t", 1)])
-    for pair in [("t", 2.9), ("t", "3"), ("t", True), (3, 2)]:
+    for pair in [("t", 2.9), ("t", "3"), ("t", True), (3, 2), 5, None, ("x",), ("x", 2, 3)]:
         with pytest.raises(ValueError, match=r"a generator is a \(str, int\) pair"):
             GeneratorSet([pair])
         with pytest.raises(ValueError, match=r"a generator is a \(str, int\) pair"):
@@ -473,9 +477,14 @@ def test_extended_checks_what_it_appends():
         Derivation(grown, [*d.images, x3.terms, {}])
     with pytest.raises(ValueError, match="one image per generator"):
         Derivation(grown, [*d.images, {}])
-    grown_d = d.extended(grown, [mul(gens, x, x).terms, {}])
+    grown_d = d.extended([("w", 3), ("y", 2)], [mul(gens, x, x).terms, {}])
+    assert grown_d.gens == grown
     assert grown_d.images == ({}, x3.terms, mul(gens, x, x).terms, {})
     assert d.gens == gens and len(d.images) == 2
+    # the generators grow through GeneratorSet.extended, which checks them
+    assert d.extended([("w", 3)], [{}]).gens == d.gens.extended([("w", 3)])
+    with pytest.raises(ValueError, match="generator names must be unique"):
+        d.extended([("x", 3)], [{}])
 
 
 def test_extended_sets_match_sets_built_at_once():

@@ -257,6 +257,9 @@ def test_exact_takes_only_ints_and_fractions():
     for x in (0.5, True, "1/2", Decimal("0.5")):
         with pytest.raises(ValueError, match="an int or a Fraction, not"):
             linalg.exact(x)
+        with pytest.raises(ValueError, match="an int or a Fraction, not"):
+            QMatrix.from_rows([[1, F(1, 2)], [2, x]])
+    assert QMatrix.from_rows([[3, F(6, 2)]]).entries == ((F(3), F(3)),)
     gens = GeneratorSet([("x", 2)])
     with pytest.raises(ValueError, match="an int or a Fraction, not float"):
         Poly.from_terms(gens, {(0,): 0.1})

@@ -184,7 +184,7 @@ def test_degree5_system_matches_differential_kernel(split):
     gens, deriv = hand_stage(split)
     a = algebra_from_split(*split)
     qm = QuasiMorphism(tuple({i: F(1)} for i in range(3)) + ({},) * 5)
-    stage = MinimalModelStage(a, gens, deriv, qm, 3)
+    stage = MinimalModelStage(a, deriv, qm, 3)
     reps = sullivan._cohomology(stage, 5)
     # no coboundaries, so the representatives span the cocycles
     assert sullivan._diff_data(stage, 4).bounds == set()
@@ -300,7 +300,7 @@ def test_build_guard_failure_carries_partial_table():
 
 def test_one_elimination_per_differential(monkeypatch):
     built, _, _ = build(algebra_from_split(2, 1), max_degree=6)
-    stage = MinimalModelStage(built.algebra, built.gens, built.diff, built.qm, built.k)
+    stage = MinimalModelStage(built.algebra, built.diff, built.qm, built.k)
     calls = []
     real = linalg._eliminate
 
@@ -348,9 +348,7 @@ def test_verify_detects_broken_differential():
     bad_image = mul(gens, gen(gens, "x1"), gen(gens, v.name)).terms
     images = list(stage.diff.images)
     images[gens.index(w.name)] = bad_image
-    broken = MinimalModelStage(
-        stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
-    )
+    broken = MinimalModelStage(stage.algebra, Derivation(gens, images), stage.qm, stage.k)
     report = verify_stage(broken)
     failed = {c.name for c in report.failures()}
     assert "d_squared" in failed
@@ -363,9 +361,7 @@ def test_verify_detects_linear_term():
     w = next(g for g in gens if g.degree == 4)
     images = list(stage.diff.images)
     images[gens.index(v.name)] = gen(gens, w.name).terms  # bare generator
-    broken = MinimalModelStage(
-        stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
-    )
+    broken = MinimalModelStage(stage.algebra, Derivation(gens, images), stage.qm, stage.k)
     report = verify_stage(broken)
     failed = {c.name for c in report.failures()}
     assert "minimality" in failed
@@ -378,9 +374,7 @@ def test_verify_detects_chain_map_violation():
     x1 = gen(gens, "x1")
     images = list(stage.diff.images)
     images[gens.index(v.name)] = mul(gens, x1, x1).terms  # maps to V, not zero
-    broken = MinimalModelStage(
-        stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
-    )
+    broken = MinimalModelStage(stage.algebra, Derivation(gens, images), stage.qm, stage.k)
     report = verify_stage(broken)
     failed = {c.name for c in report.failures()}
     assert "chain_map" in failed
@@ -401,9 +395,7 @@ def test_verify_detects_a_degenerate_induced_map(split, max_degree, images, deta
     # induced map can fail
     stage, _, _ = build(algebra_from_split(*split), max_degree)
     assert len(stage.qm.images) == len(images)
-    broken = MinimalModelStage(
-        stage.algebra, stage.gens, stage.diff, QuasiMorphism(images), stage.k
-    )
+    broken = MinimalModelStage(stage.algebra, stage.diff, QuasiMorphism(images), stage.k)
     failures = {c.name: c.detail for c in verify_stage(broken).failures()}
     assert failures == {"cohomology_isomorphism": detail}
 
@@ -435,7 +427,6 @@ def test_verify_detects_dropped_generator(b2, split, r):
     gens = GeneratorSet(stage.gens.generators[:-1])
     broken = MinimalModelStage(
         stage.algebra,
-        gens,
         Derivation(gens, stage.diff.images[:-1]),
         QuasiMorphism(stage.qm.images[:-1]),
         r,
@@ -614,7 +605,7 @@ def test_kill_step_combinations_are_in_exact_form():
 )
 def test_carried_degree_data_matches_a_fresh_elimination(split, max_degree):
     stage, _, _ = build(algebra_from_split(*split), max_degree)
-    fresh = MinimalModelStage(stage.algebra, stage.gens, stage.diff, stage.qm, stage.k)
+    fresh = MinimalModelStage(stage.algebra, stage.diff, stage.qm, stage.k)
     assert max_degree in stage._data  # the top degree, carried by the last step
     for n, data in stage._data.items():
         again = sullivan._diff_data(fresh, n)
@@ -650,7 +641,7 @@ def verdict(stage):
 def test_verify_holds_a_stage_to_the_guard_it_was_built_under():
     stage, _, _ = build(algebra_from_split(3, 0), 5)
     assert stage.guard == DEFAULT_GUARD and verify_stage(stage).ok
-    small = MinimalModelStage(stage.algebra, stage.gens, stage.diff, stage.qm, stage.k, 10)
+    small = MinimalModelStage(stage.algebra, stage.diff, stage.qm, stage.k, 10)
     assert verdict(small) == 4
 
 
@@ -664,9 +655,30 @@ def test_a_successor_keeps_its_parents_guard():
     assert info.value.limit == 5
 
 
+@pytest.mark.parametrize("split,max_degree", [((0, 0), 7), ((2, 1), 6), ((3, 0), 5)])
+def test_every_stage_takes_its_generators_from_its_differential(split, max_degree):
+    stage = init_stage(algebra_from_split(*split))
+    while True:
+        assert stage.gens is stage.diff.gens
+        assert len(stage.qm.images) == len(stage.gens)
+        if stage.k == max_degree:
+            break
+        stage, _ = extend_stage(stage)
+
+
+def test_a_stage_map_needs_one_image_per_generator():
+    # Too few images once ended verify_stage in an IndexError.
+    stage, _, _ = build(algebra_from_split(2, 1), 4)
+    images = stage.qm.images
+    for wrong in (images[:2], images[:-1], images + ({},)):
+        with pytest.raises(ValueError, match="one image per generator"):
+            MinimalModelStage(stage.algebra, stage.diff, QuasiMorphism(wrong), stage.k)
+
+
 def bare_stage(gens, guard):
     """A stage over `gens` with d = 0, enough for the guard reads of _diff_data."""
-    return MinimalModelStage(None, gens, Derivation(gens, [{}] * len(gens)), None, 2, guard)
+    qm = QuasiMorphism(({},) * len(gens))
+    return MinimalModelStage(None, Derivation(gens, [{}] * len(gens)), qm, 2, guard)
 
 
 def test_guard_is_the_exact_word_count():
@@ -728,7 +740,7 @@ def test_guard_trips_before_any_monomial_is_built():
 
 def test_a_miss_counts_its_two_degrees_once_and_builds_one_basis(monkeypatch):
     built, _, _ = build(algebra_from_split(2, 1), max_degree=6)
-    stage = MinimalModelStage(built.algebra, built.gens, built.diff, built.qm, built.k)
+    stage = MinimalModelStage(built.algebra, built.diff, built.qm, built.k)
     counted, bases = [], []
     real_count, real_basis = sullivan.basis_count, sullivan.basis
     monkeypatch.setattr(
@@ -821,7 +833,7 @@ def test_kill_step_rows_vanish_on_the_coboundary_pivots(split, max_degree):
     stage = init_stage(algebra_from_split(*split))
     while stage.k < max_degree:
         k = stage.k
-        fresh = MinimalModelStage(stage.algebra, stage.gens, stage.diff, stage.qm, k)
+        fresh = MinimalModelStage(stage.algebra, stage.diff, stage.qm, k)
         bounds = sullivan._diff_data(fresh, k + 1).bounds
         stage, report = extend_stage(stage)
         if not report.new_kernel_generators:
@@ -903,16 +915,13 @@ def _broken_stages():
     ]:
         images = list(stage.diff.images)
         images[i] = image.terms
-        yield MinimalModelStage(
-            stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
-        )
+        yield MinimalModelStage(stage.algebra, Derivation(gens, images), stage.qm, stage.k)
     for b2, split, degrees in DROP_CELLS:
         r = degrees[-1]
         stage, _, _ = build(algebra_from_split(*split), max_degree=r)
         gens = GeneratorSet(stage.gens.generators[:-1])
         yield MinimalModelStage(
             stage.algebra,
-            gens,
             Derivation(gens, stage.diff.images[:-1]),
             QuasiMorphism(stage.qm.images[:-1]),
             r,
@@ -941,9 +950,7 @@ def _mutated_stages(seed):
                         for m in rng.sample(words, min(len(words), 3))
                     })
                 images[i] = add_scaled(dict(images[i]), 1, shift.terms)
-            yield MinimalModelStage(
-                stage.algebra, gens, Derivation(gens, images), stage.qm, stage.k
-            )
+            yield MinimalModelStage(stage.algebra, Derivation(gens, images), stage.qm, stage.k)
 
 
 def test_d_squared_verdict_and_witness_match_the_reference():
